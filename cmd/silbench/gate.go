@@ -34,27 +34,33 @@ func gateRegression(w io.Writer, fresh report, baselineFile string, maxRegress f
 }
 
 // compareReports gates fresh against base: an error means the gate fails
-// (regression, or a comparison that would be vacuous). Totals are compared
-// over the corpus intersection; programs outside it are reported, never
-// silently dropped. Per-program checks use twice the total budget —
-// individual programs are noisier than the corpus sum.
+// (regression, or a comparison that would be vacuous). Totals — ns/op and
+// allocs/op — are compared over the corpus intersection; programs outside
+// it are reported, never silently dropped. Per-program ns/op checks use
+// twice the total budget — individual programs are noisier than the corpus
+// sum. A baseline from a binary that predates allocs_per_op skips the
+// allocation check, saying so.
 func compareReports(w io.Writer, fresh, base report, maxRegress float64) error {
 	if base.TotalNsPerOp <= 0 {
 		return fmt.Errorf("baseline has no total_ns_per_op")
 	}
-	baseByName := make(map[string]float64, len(base.Corpus))
+	baseByName := make(map[string]result, len(base.Corpus))
 	for _, r := range base.Corpus {
-		baseByName[r.Name] = r.NsPerOp
+		baseByName[r.Name] = r
 	}
 	freshNames := make(map[string]bool, len(fresh.Corpus))
 	var shared int
-	var freshTotal, baseTotal float64
+	var freshTotal, baseTotal, freshAllocs, baseAllocs float64
+	baseHasAllocs := true
 	for _, r := range fresh.Corpus {
 		freshNames[r.Name] = true
 		if b, ok := baseByName[r.Name]; ok {
 			shared++
 			freshTotal += r.NsPerOp
-			baseTotal += b
+			baseTotal += b.NsPerOp
+			freshAllocs += r.AllocsPerOp
+			baseAllocs += b.AllocsPerOp
+			baseHasAllocs = baseHasAllocs && b.AllocsPerOp > 0
 		} else {
 			fmt.Fprintf(w, "gate: %s missing from baseline; excluded from the total\n", r.Name)
 		}
@@ -79,18 +85,25 @@ func compareReports(w io.Writer, fresh, base report, maxRegress float64) error {
 			"total: %.2fms -> %.2fms (+%.1f%%, limit %.0f%%)",
 			baseTotal/1e6, freshTotal/1e6, r*100, maxRegress*100))
 	}
+	if !baseHasAllocs {
+		fmt.Fprintln(w, "gate: baseline lacks allocs_per_op; allocs/op check skipped")
+	} else if r := freshAllocs/baseAllocs - 1; r > maxRegress {
+		failures = append(failures, fmt.Sprintf(
+			"total allocs: %.0f/op -> %.0f/op (+%.1f%%, limit %.0f%%)",
+			baseAllocs, freshAllocs, r*100, maxRegress*100))
+	}
 	for _, r := range fresh.Corpus {
 		b, ok := baseByName[r.Name]
-		if !ok || b < 1e6 {
+		if !ok || b.NsPerOp < 1e6 {
 			// New program, or one measured in microseconds — per-program
 			// timings below ~1ms are dominated by scheduler/GC noise; the
 			// total still covers them.
 			continue
 		}
-		if reg := r.NsPerOp/b - 1; reg > 2*maxRegress {
+		if reg := r.NsPerOp/b.NsPerOp - 1; reg > 2*maxRegress {
 			failures = append(failures, fmt.Sprintf(
 				"%s: %.0fns -> %.0fns (+%.1f%%, limit %.0f%%)",
-				r.Name, b, r.NsPerOp, reg*100, 2*maxRegress*100))
+				r.Name, b.NsPerOp, r.NsPerOp, reg*100, 2*maxRegress*100))
 		}
 	}
 	if len(failures) > 0 {

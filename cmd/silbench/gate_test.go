@@ -110,6 +110,57 @@ func TestCompareReportsPartialIntersectionComparesSharedOnly(t *testing.T) {
 	}
 }
 
+// withAllocs sets allocs_per_op on every program of rep.
+func withAllocs(rep report, allocs map[string]float64) report {
+	for i := range rep.Corpus {
+		rep.Corpus[i].AllocsPerOp = allocs[rep.Corpus[i].Name]
+		rep.TotalAllocsPerOp += rep.Corpus[i].AllocsPerOp
+	}
+	return rep
+}
+
+func TestCompareReportsAllocsWithinLimitPass(t *testing.T) {
+	times := map[string]float64{"a": 10e6, "b": 20e6}
+	base := withAllocs(mkReport(times), map[string]float64{"a": 1000, "b": 3000})
+	fresh := withAllocs(mkReport(times), map[string]float64{"a": 900, "b": 3400}) // +7.5%
+	var w bytes.Buffer
+	if err := compareReports(&w, fresh, base, 0.12); err != nil {
+		t.Errorf("7.5%% allocs/op growth under a 12%% limit must pass: %v", err)
+	}
+	if strings.Contains(w.String(), "skipped") {
+		t.Errorf("allocs/op check must run when the baseline has it, got: %s", w.String())
+	}
+}
+
+func TestCompareReportsFailsOnAllocsRegression(t *testing.T) {
+	// Timings unchanged; allocations up 50% in total.
+	times := map[string]float64{"a": 10e6, "b": 20e6}
+	base := withAllocs(mkReport(times), map[string]float64{"a": 1000, "b": 3000})
+	fresh := withAllocs(mkReport(times), map[string]float64{"a": 1000, "b": 5000})
+	var w bytes.Buffer
+	if err := compareReports(&w, fresh, base, 0.12); err == nil {
+		t.Fatal("a 50% total allocs/op regression must fail the gate")
+	}
+	if !strings.Contains(w.String(), "REGRESSION total allocs") {
+		t.Errorf("missing allocs/op regression message, got: %s", w.String())
+	}
+}
+
+func TestCompareReportsBaselineWithoutAllocsSkipsLoudly(t *testing.T) {
+	// A baseline from a binary that predates allocs_per_op cannot gate
+	// allocations: the check is skipped, and the skip is narrated.
+	times := map[string]float64{"a": 10e6, "b": 20e6}
+	base := mkReport(times)
+	fresh := withAllocs(mkReport(times), map[string]float64{"a": 1000, "b": 3000})
+	var w bytes.Buffer
+	if err := compareReports(&w, fresh, base, 0.12); err != nil {
+		t.Errorf("unchanged timings must pass against an allocs-less baseline: %v", err)
+	}
+	if !strings.Contains(w.String(), "baseline lacks allocs_per_op; allocs/op check skipped") {
+		t.Errorf("skipped allocs/op check must be narrated, got: %s", w.String())
+	}
+}
+
 func TestMedian(t *testing.T) {
 	if m := median(nil); m != 0 {
 		t.Errorf("median(nil) = %v", m)

@@ -19,8 +19,9 @@
 // service epoch boundary — and records the post-reset counters, proving
 // the intern/memo memory is returned. With -baseline it compares the fresh
 // numbers against a stored report and exits non-zero on regression: the CI
-// gate fails a PR when total corpus ns/op regresses by more than
-// -max-regress (default 15%), or any single program by twice that. With
+// gate fails a PR when total corpus ns/op or allocs/op regresses by more
+// than -max-regress (default 15%), or any single program's ns/op by twice
+// that. With
 // -samples N each program is measured N times and the per-program MEDIAN
 // ns/op is reported — the CI gate runs 5 samples so one descheduled
 // measurement on a shared runner cannot fail (or mask) a regression; the
@@ -74,6 +75,7 @@ type result struct {
 	Name          string  `json:"name"`
 	Iters         int     `json:"iters"`
 	NsPerOp       float64 `json:"ns_per_op"`
+	AllocsPerOp   float64 `json:"allocs_per_op,omitempty"` // heap allocations per iteration; absent in older reports
 	Diags         int     `json:"diags"`
 	Shape         string  `json:"shape"`
 	ExitShape     string  `json:"exit_shape"`
@@ -88,8 +90,8 @@ type result struct {
 	// consumed, and live shared-exit aliases (read-only procedures bound
 	// to a covering converged context instead of re-analyzed). Absent
 	// (zero) in reports from binaries that predate them; the -baseline
-	// gate only reads the timing fields, so old and new reports compare
-	// freely in either direction.
+	// gate only reads the timing and allocation fields, so old and new
+	// reports compare freely in either direction.
 	FallbacksActivated int `json:"fallbacks_activated,omitempty"`
 	FallbackAnalyses   int `json:"fallback_analyses,omitempty"`
 	ExitsShared        int `json:"exits_shared,omitempty"`
@@ -138,6 +140,8 @@ type report struct {
 	Samples      int      `json:"samples,omitempty"`
 	Corpus       []result `json:"corpus"`
 	TotalNsPerOp float64  `json:"total_ns_per_op"`
+	// TotalAllocsPerOp sums the per-program allocs_per_op.
+	TotalAllocsPerOp float64 `json:"total_allocs_per_op,omitempty"`
 	// InternedPaths and MemoVerdicts stay at top level for older readers;
 	// Space carries the full table statistics.
 	InternedPaths   int         `json:"interned_paths"`
@@ -211,8 +215,9 @@ func main() {
 		}
 		rep.Corpus = append(rep.Corpus, r)
 		rep.TotalNsPerOp += r.NsPerOp
-		fmt.Fprintf(os.Stderr, "%-16s %12.0f ns/op  shape=%-6s diags=%d parstmts=%d ctxs=%d fbAct=%d fbAna=%d shared=%d\n",
-			r.Name, r.NsPerOp, r.Shape, r.Diags, r.ParStatements, r.Contexts,
+		rep.TotalAllocsPerOp += r.AllocsPerOp
+		fmt.Fprintf(os.Stderr, "%-16s %12.0f ns/op %8.0f allocs/op  shape=%-6s diags=%d parstmts=%d ctxs=%d fbAct=%d fbAna=%d shared=%d\n",
+			r.Name, r.NsPerOp, r.AllocsPerOp, r.Shape, r.Diags, r.ParStatements, r.Contexts,
 			r.FallbacksActivated, r.FallbackAnalyses, r.ExitsShared)
 	}
 	rep.Space = snapshotSpace()
@@ -239,8 +244,8 @@ func main() {
 		if err := os.WriteFile(*out, data, 0o644); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "wrote %s (total %.2f ms/op over %d programs)\n",
-			*out, rep.TotalNsPerOp/1e6, len(rep.Corpus))
+		fmt.Fprintf(os.Stderr, "wrote %s (total %.2f ms/op, %.0f allocs/op over %d programs)\n",
+			*out, rep.TotalNsPerOp/1e6, rep.TotalAllocsPerOp, len(rep.Corpus))
 	}
 	if *baseline != "" {
 		if err := gateRegression(os.Stderr, rep, *baseline, *maxRegress); err != nil {
@@ -254,7 +259,8 @@ func main() {
 // analyze+parallelize per iteration, which is the optimized hot path).
 // With samples > 1 the whole measurement repeats and the reported ns/op is
 // the median over the passes, which a single descheduled pass on a noisy
-// runner cannot move.
+// runner cannot move. Allocations are counted from runtime.MemStats read
+// outside the timed region.
 func benchOne(e progs.Entry, iters, samples int, minTime time.Duration, workers, maxContexts int) (result, error) {
 	prog, err := progs.Compile(e.Source)
 	if err != nil {
@@ -278,10 +284,14 @@ func benchOne(e progs.Entry, iters, samples int, minTime time.Duration, workers,
 		samples = 1
 	}
 	perSample := make([]float64, 0, samples)
+	allocSamples := make([]float64, 0, samples)
 	totalIters := 0
+	var ms runtime.MemStats
 	for s := 0; s < samples; s++ {
 		var elapsed time.Duration
 		n := 0
+		runtime.ReadMemStats(&ms)
+		mallocs := ms.Mallocs
 		start := time.Now()
 		for {
 			if _, _, err := run(); err != nil {
@@ -297,14 +307,17 @@ func benchOne(e progs.Entry, iters, samples int, minTime time.Duration, workers,
 				break
 			}
 		}
+		runtime.ReadMemStats(&ms)
 		totalIters += n
 		perSample = append(perSample, float64(elapsed.Nanoseconds())/float64(n))
+		allocSamples = append(allocSamples, float64(ms.Mallocs-mallocs)/float64(n))
 	}
 	ct := info.ContextTableStats()
 	return result{
 		Name:               e.Name,
 		Iters:              totalIters,
 		NsPerOp:            median(perSample),
+		AllocsPerOp:        median(allocSamples),
 		Diags:              len(info.Diags),
 		Shape:              info.Shape().String(),
 		ExitShape:          info.ExitShape().String(),

@@ -20,10 +20,12 @@
 package analysis
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -709,11 +711,8 @@ func (e *engine) applyRound(work []item, stages []*stagedUpdates) []item {
 			next = append(next, it)
 		}
 	}
-	sort.Slice(next, func(i, j int) bool {
-		if next[i].name != next[j].name {
-			return next[i].name < next[j].name
-		}
-		return next[i].ctx.seq < next[j].ctx.seq
+	slices.SortFunc(next, func(a, b item) int {
+		return cmp.Or(strings.Compare(a.name, b.name), cmp.Compare(a.ctx.seq, b.ctx.seq))
 	})
 	return e.deferBehindFallbacks(next)
 }
@@ -886,7 +885,7 @@ func (e *engine) canonicalKeyCached(m *matrix.Matrix) string {
 // process's interning history.)
 func canonicalKey(m *matrix.Matrix) string {
 	hs := append([]matrix.Handle(nil), m.Handles()...)
-	sort.Slice(hs, func(i, j int) bool { return hs[i] < hs[j] })
+	slices.Sort(hs)
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d|", m.StickyShape())
 	for _, h := range hs {

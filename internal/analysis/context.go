@@ -59,7 +59,9 @@ package analysis
 // as a real context instead).
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"repro/internal/matrix"
 	"repro/internal/path"
@@ -309,7 +311,7 @@ func (s *Summary) shareDonorLocked(ent *matrix.Matrix) *ProcContext {
 		return nil
 	}
 	cands := append([]*ProcContext(nil), s.lru...)
-	sort.Slice(cands, func(i, j int) bool { return cands[i].seq < cands[j].seq })
+	slices.SortFunc(cands, func(a, b *ProcContext) int { return cmp.Compare(a.seq, b.seq) })
 	for _, c := range cands {
 		if c.exit != nil && entryCoveredBy(ent, c.entry) {
 			return c
@@ -679,7 +681,7 @@ func (s *Summary) Contexts() []*ProcContext {
 	for _, c := range out {
 		keys[c] = canonicalKey(c.entry)
 	}
-	sort.Slice(out, func(i, j int) bool { return keys[out[i]] < keys[out[j]] })
+	slices.SortFunc(out, func(a, b *ProcContext) int { return strings.Compare(keys[a], keys[b]) })
 	if s.merged != nil {
 		out = append(out, s.merged)
 	}

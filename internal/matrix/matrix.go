@@ -474,35 +474,56 @@ func (m *Matrix) Merge(o *Matrix) *Matrix {
 			out.Add(h, Attr{Nil: mergeNilness(a.Nil, MaybeNil), Indeg: a.Indeg})
 		}
 	}
-	seen := make(map[entryKey]bool, len(m.entries)+len(o.entries))
-	for k, v := range m.entries {
-		seen[k] = true
-		row, col := m.sp.keyHandles(k)
-		merged := v.MergeJoin(o.entries[k])
-		if k.diagonal() && out.attrs[row].Nil != DefNil {
+	// Entries move by packed key (both matrices share one Space), so no key
+	// round-trips through the handle table: liveness and the row handle's
+	// merged attributes are looked up by ID.
+	live := out.liveIDs()
+	put := func(k entryKey, merged path.Set) {
+		row, okR := live[uint32(k>>32)]
+		_, okC := live[uint32(k)]
+		if !okR || !okC {
+			return
+		}
+		if k.diagonal() && row.Nil != DefNil {
 			// Keep the definite S diagonal for handles live on both sides.
 			merged = merged.Add(path.Same())
 		}
-		out.Put(row, col, merged)
+		out.setEntry(k, merged)
+	}
+	for k, v := range m.entries {
+		put(k, v.MergeJoin(o.entries[k]))
 	}
 	for k, v := range o.entries {
-		if seen[k] {
-			continue
+		if _, ok := m.entries[k]; !ok {
+			put(k, path.EmptySet().MergeJoin(v))
 		}
-		row, col := m.sp.keyHandles(k)
-		merged := path.EmptySet().MergeJoin(v)
-		if k.diagonal() && out.attrs[row].Nil != DefNil {
-			merged = merged.Add(path.Same())
-		}
-		out.Put(row, col, merged)
 	}
 	return out
 }
 
-// Widen applies the domain bounds to every entry.
+// liveIDs maps the interned ID of every live handle to its attributes, so
+// key-level rewrites (Merge, Project) test liveness without resolving
+// packed keys back to names. The handle table is read-locked once; Add
+// interned every live handle, so only a matrix from a reset epoch can miss.
+func (m *Matrix) liveIDs() map[uint32]Attr {
+	ids := make(map[uint32]Attr, len(m.order))
+	m.sp.mu.RLock()
+	for _, h := range m.order {
+		if id, ok := m.sp.ids[h]; ok {
+			ids[id] = m.attrs[h]
+		}
+	}
+	m.sp.mu.RUnlock()
+	return ids
+}
+
+// Widen applies the domain bounds to every entry, rewriting only the
+// entries the bounds actually change.
 func (m *Matrix) Widen(lim path.Limits) {
 	for k, v := range m.entries {
-		m.setEntry(k, v.Widen(lim))
+		if w := v.Widen(lim); !w.Equal(v) {
+			m.setEntry(k, w)
+		}
 	}
 }
 
@@ -551,10 +572,12 @@ func (m *Matrix) Project(keep []Handle) *Matrix {
 			out.foldDyingAttr(m.attrs[h])
 		}
 	}
+	live := out.liveIDs()
 	for k, v := range m.entries {
-		row, col := m.sp.keyHandles(k)
-		if want[row] && want[col] {
-			out.Put(row, col, v)
+		_, okR := live[uint32(k>>32)]
+		_, okC := live[uint32(k)]
+		if okR && okC {
+			out.setEntry(k, v)
 		}
 	}
 	return out

@@ -521,3 +521,21 @@ func TestAddPaths(t *testing.T) {
 		t.Errorf("AddPaths empty changed entry: %q", got)
 	}
 }
+
+// TestWidenAllocs: widening a matrix whose entries are already within the
+// bounds rewrites nothing and allocates nothing.
+func TestWidenAllocs(t *testing.T) {
+	lim := path.Limits{MaxExact: 2, MaxSegs: 6, MaxPaths: 8}
+	m := New()
+	m.Add("a", nonNil())
+	m.Add("b", nonNil())
+	m.Put("a", "b", path.MustParseSet("L5, R1D+?"))
+	m.Widen(lim)
+	fp := m.Fingerprint()
+	if n := testing.AllocsPerRun(100, func() { m.Widen(lim) }); n != 0 {
+		t.Errorf("Matrix.Widen of a widened matrix: %v allocs, want 0", n)
+	}
+	if m.Fingerprint() != fp {
+		t.Error("re-widening changed the matrix")
+	}
+}

@@ -1,7 +1,7 @@
 package path
 
 import (
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -24,7 +24,9 @@ type Limits struct {
 // while still guaranteeing termination.
 var DefaultLimits = Limits{MaxExact: 8, MaxSegs: 6, MaxPaths: 8}
 
-// widenPath applies the per-path structural bounds.
+// widenPath applies the per-path structural bounds. A path already within
+// them is returned as is: it is interned in canonical form, so rebuilding
+// it would only re-intern the same node.
 func widenPath(p Path, lim Limits) Path {
 	segs := p.segs()
 	changed := false
@@ -36,6 +38,9 @@ func widenPath(p Path, lim Limits) Path {
 			}
 			segs[i] = Seg{Dir: s.Dir, Min: lim.MaxExact, Inf: true}
 		}
+	}
+	if !changed && len(segs) <= lim.MaxSegs {
+		return p
 	}
 	if len(segs) > lim.MaxSegs {
 		if !changed {
@@ -81,12 +86,21 @@ func EmptySet() Set { return Set{} }
 // stronger statement along the may/must axis used by the analysis: the set
 // records all possible relationships, and the flag upgrades one to a
 // guarantee).
-func NewSet(paths ...Path) Set {
-	var s Set
-	for _, p := range paths {
-		s = s.Add(p)
+func NewSet(paths ...Path) Set { return canonSet(slices.Clone(paths)) }
+
+// canonSet builds the canonical set of the collected members ps, taking
+// ownership of the slice: one sort by Compare brings each expression's
+// spellings together with the definite one first, and keeping the first
+// member of each expression applies the definite-wins rule of NewSet.
+// Every operation that derives a set from arbitrary members funnels through
+// here instead of folding Add, so a result costs one sort, not one re-sort
+// per member.
+func canonSet(ps []Path) Set {
+	if len(ps) > 1 {
+		slices.SortFunc(ps, Path.Compare)
+		ps = slices.CompactFunc(ps, Path.EqualExpr)
 	}
-	return s
+	return mkSet(ps)
 }
 
 // IsEmpty reports whether the handles are unrelated.
@@ -98,38 +112,78 @@ func (s Set) Len() int { return len(s.ps) }
 // Paths returns the canonical contents. Callers must not modify the slice.
 func (s Set) Paths() []Path { return s.ps }
 
-// Add returns s with p included, keeping canonical form. Upgrading an
-// existing possible member to definite replaces it in place without
-// re-sorting: members are unique by expression and Compare consults the
-// definiteness flag only between equal expressions, so the flag flip cannot
-// reorder the member relative to any other (pinned by the canonical-order
-// property test in set_test.go).
+// Add returns s with p included, keeping canonical form, at the cost of
+// one allocation (a binary search finds p's slot). Upgrading an existing
+// possible member to definite replaces it in place: members are unique by
+// expression and Compare consults the definiteness flag only between equal
+// expressions, so the flag flip cannot reorder the member relative to any
+// other (pinned by the canonical-order property test in set_test.go).
 func (s Set) Add(p Path) Set {
-	for i, q := range s.ps {
-		if q.EqualExpr(p) {
-			if q.possible && !p.possible {
-				out := append([]Path(nil), s.ps...)
-				out[i] = p
-				fp := s.fp
-				of, nf := pathFP(q), pathFP(p)
-				fp[0] += nf[0] - of[0]
-				fp[1] += nf[1] - of[1]
-				return Set{ps: out, fp: fp}
-			}
+	i, found := slices.BinarySearchFunc(s.ps, p, compareExpr)
+	if found {
+		q := s.ps[i]
+		if !q.possible || p.possible {
 			return s
 		}
+		out := slices.Clone(s.ps)
+		out[i] = p
+		fp := s.fp
+		of, nf := pathFP(q), pathFP(p)
+		fp[0] += nf[0] - of[0]
+		fp[1] += nf[1] - of[1]
+		return Set{ps: out, fp: fp}
 	}
-	out := append([]Path(nil), s.ps...)
-	out = append(out, p)
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
+	out := make([]Path, len(s.ps)+1)
+	copy(out, s.ps[:i])
+	out[i] = p
+	copy(out[i+1:], s.ps[i:])
 	f := pathFP(p)
 	return Set{ps: out, fp: [2]uint64{s.fp[0] + f[0], s.fp[1] + f[1]}}
 }
 
+// compareExpr orders paths by expression alone, ignoring definiteness:
+// within one set it is a total order, because members are unique by
+// expression.
+func compareExpr(p, q Path) int {
+	if p.node == q.node {
+		return 0
+	}
+	return compareSegs(p.segs(), q.segs())
+}
+
+// mergeMembers walks the canonical member lists of two sets in step. An
+// expression present on both sides contributes both(p, q), a one-sided
+// member contributes one(p); the output is canonical by construction, so
+// no sort is needed.
+func mergeMembers(s, t []Path, both func(p, q Path) Path, one func(Path) Path) []Path {
+	out := make([]Path, 0, len(s)+len(t))
+	for len(s) > 0 && len(t) > 0 {
+		switch c := compareExpr(s[0], t[0]); {
+		case c == 0:
+			out = append(out, both(s[0], t[0]))
+			s, t = s[1:], t[1:]
+		case c < 0:
+			out = append(out, one(s[0]))
+			s = s[1:]
+		default:
+			out = append(out, one(t[0]))
+			t = t[1:]
+		}
+	}
+	for _, p := range s {
+		out = append(out, one(p))
+	}
+	for _, q := range t {
+		out = append(out, one(q))
+	}
+	return out
+}
+
 // Union returns the union of two sets collected along a single control-flow
-// path (definite-wins on duplicate expressions). Unions with an empty
-// operand share the other set unchanged — sets are immutable values, and
-// Matrix.Rename funnels every entry through here.
+// path (definite-wins on duplicate expressions), as one merge of the two
+// sorted member lists. Unions with an empty operand share the other set
+// unchanged — sets are immutable values, and Matrix.Rename funnels every
+// entry through here.
 func (s Set) Union(t Set) Set {
 	if len(s.ps) == 0 {
 		return t
@@ -137,120 +191,109 @@ func (s Set) Union(t Set) Set {
 	if len(t.ps) == 0 {
 		return s
 	}
-	out := s
-	for _, p := range t.ps {
-		out = out.Add(p)
-	}
-	return out
+	return mkSet(mergeMembers(s.ps, t.ps, func(p, q Path) Path {
+		if p.possible {
+			return q
+		}
+		return p
+	}, func(p Path) Path { return p }))
 }
 
 // MergeJoin combines estimates from two alternative control-flow paths
 // (if/else arms, loop iterations). A path expression is definite in the
 // result only if it is definite in both inputs; expressions present on only
-// one side survive as possible.
+// one side survive as possible. Joining a set with an equal one yields it
+// unchanged, so that common case shares s.
 func (s Set) MergeJoin(t Set) Set {
-	var out Set
-	for _, p := range s.ps {
-		q, ok := t.find(p)
-		switch {
-		case ok && p.Definite() && q.Definite():
-			out = out.Add(p)
-		default:
-			out = out.Add(p.AsPossible())
-		}
+	if s.Equal(t) {
+		return s
 	}
-	for _, q := range t.ps {
-		if _, ok := s.find(q); !ok {
-			out = out.Add(q.AsPossible())
+	return mkSet(mergeMembers(s.ps, t.ps, func(p, q Path) Path {
+		if q.possible {
+			return q
 		}
-	}
-	return out
-}
-
-func (s Set) find(p Path) (Path, bool) {
-	for _, q := range s.ps {
-		if q.EqualExpr(p) {
-			return q, true
-		}
-	}
-	return Path{}, false
+		return p
+	}, Path.AsPossible))
 }
 
 // Demote returns s with every path for which cond holds downgraded to
 // possible (used by the a.f := b kill rule).
 func (s Set) Demote(cond func(Path) bool) Set {
-	var out Set
-	for _, p := range s.ps {
+	out := make([]Path, len(s.ps))
+	for i, p := range s.ps {
 		if cond(p) {
 			p = p.AsPossible()
 		}
-		out = out.Add(p)
+		out[i] = p
 	}
-	return out
+	return canonSet(out)
 }
 
 // Filter returns the subset satisfying keep.
 func (s Set) Filter(keep func(Path) bool) Set {
-	var out Set
+	var out []Path
 	for _, p := range s.ps {
 		if keep(p) {
-			out = out.Add(p)
+			out = append(out, p)
 		}
 	}
-	return out
+	return canonSet(out)
 }
 
 // ExtendAll appends one edge in direction d to every member. Results stay
 // in each member's Space; an S member extends into the process default —
 // callers whose sets may contain S in a private Space use Space.ExtendAll.
 func (s Set) ExtendAll(d Dir) Set {
-	var out Set
-	for _, p := range s.ps {
-		out = out.Add(p.Extend(d))
+	out := make([]Path, len(s.ps))
+	for i, p := range s.ps {
+		out[i] = p.Extend(d)
 	}
-	return out
+	return canonSet(out)
 }
 
 // ExtendAll appends one edge in direction d to every member, interning the
 // results in sp (required when the set may contain S).
 func (sp *Space) ExtendAll(s Set, d Dir) Set {
-	var out Set
-	for _, p := range s.ps {
-		out = out.Add(sp.Extend(p, d))
+	out := make([]Path, len(s.ps))
+	for i, p := range s.ps {
+		out[i] = sp.Extend(p, d)
 	}
-	return out
+	return canonSet(out)
 }
 
 // ConcatAll returns {p·q : p ∈ s, q ∈ t}.
 func (s Set) ConcatAll(t Set) Set {
-	var out Set
+	out := make([]Path, 0, len(s.ps)*len(t.ps))
 	for _, p := range s.ps {
 		for _, q := range t.ps {
-			out = out.Add(p.Concat(q))
+			out = append(out, p.Concat(q))
 		}
 	}
-	return out
+	return canonSet(out)
 }
 
 // ResidueAll computes the entry for (b.f → x) from the entry for (b → x).
 func (s Set) ResidueAll(f Dir) Set {
-	var out Set
+	var out []Path
 	for _, p := range s.ps {
-		for _, r := range p.Residue(f) {
-			out = out.Add(r)
-		}
+		out = append(out, p.Residue(f)...)
 	}
-	return out
+	return canonSet(out)
 }
 
 // Widen applies the domain bounds: per-path structural bounds, then
 // subsumption-dropping of covered possible members, then — only if the set
 // is still too wide — direction-preserving signature collapse, and as a
-// last resort a fold into a single D^{>=m}? member.
+// last resort a fold into a single D^{>=m}? member. A set already within
+// the bounds is returned as is, without allocating.
 func (s Set) Widen(lim Limits) Set {
-	var out Set
-	for _, p := range s.ps {
-		out = out.Add(widenPath(p, lim))
+	out := s
+	if slices.ContainsFunc(s.ps, func(p Path) bool { return !widenPath(p, lim).Equal(p) }) {
+		ps := make([]Path, len(s.ps))
+		for i, p := range s.ps {
+			ps[i] = widenPath(p, lim)
+		}
+		out = canonSet(ps)
 	}
 	out = out.dropSubsumed()
 	if out.Len() <= lim.MaxPaths {
@@ -264,7 +307,7 @@ func (s Set) Widen(lim Limits) Set {
 	// possible D^{>=m} covering every collapsed path. The fold interns into
 	// the folded members' Space (min >= 0 implies a non-S member, so the
 	// owner is always derivable).
-	var collapsed Set
+	var collapsed []Path
 	min := -1
 	var own *Space
 	hadSame := false
@@ -283,19 +326,15 @@ func (s Set) Widen(lim Limits) Set {
 		}
 	}
 	if hadSame {
-		if samePossible {
-			collapsed = collapsed.Add(SamePossible())
-		} else {
-			collapsed = collapsed.Add(Same())
-		}
+		collapsed = append(collapsed, Path{possible: samePossible})
 	}
 	if min >= 0 {
 		if min < 1 {
 			min = 1
 		}
-		collapsed = collapsed.Add(newPathIn(own, []Seg{AtLeast(DownD, min)}, true))
+		collapsed = append(collapsed, newPathIn(own, []Seg{AtLeast(DownD, min)}, true))
 	}
-	return collapsed
+	return canonSet(collapsed)
 }
 
 // dropSubsumed removes possible members whose language is covered by some
@@ -309,30 +348,37 @@ func (s Set) dropSubsumed() Set {
 	if len(s.ps) < 2 {
 		return s
 	}
-	keep := make([]Path, 0, len(s.ps))
+	var keep []Path // allocated only once a member is dropped
 	for i, q := range s.ps {
-		if q.Definite() {
-			keep = append(keep, q)
+		if s.covered(i) {
+			if keep == nil {
+				keep = append(make([]Path, 0, len(s.ps)-1), s.ps[:i]...)
+			}
 			continue
 		}
-		covered := false
-		for j, p := range s.ps {
-			if i == j || q.EqualExpr(p) {
-				continue
-			}
-			if Subsumes(p, q) {
-				covered = true
-				break
-			}
-		}
-		if !covered {
+		if keep != nil {
 			keep = append(keep, q)
 		}
 	}
-	if len(keep) == len(s.ps) {
+	if keep == nil {
 		return s
 	}
 	return mkSet(keep)
+}
+
+// covered reports whether member i is possible and its language is covered
+// by some other member.
+func (s Set) covered(i int) bool {
+	q := s.ps[i]
+	if q.Definite() {
+		return false
+	}
+	for j, p := range s.ps {
+		if i != j && !q.EqualExpr(p) && Subsumes(p, q) {
+			return true
+		}
+	}
+	return false
 }
 
 // collapseBySignature merges members sharing the same direction signature
@@ -352,11 +398,11 @@ func (s Set) collapseBySignature() Set {
 		}
 		groups[sig] = append(groups[sig], p)
 	}
-	var out Set
+	out := make([]Path, 0, len(order))
 	for _, sig := range order {
 		g := groups[sig]
 		if len(g) == 1 {
-			out = out.Add(g[0])
+			out = append(out, g[0])
 			continue
 		}
 		first := g[0]
@@ -373,9 +419,9 @@ func (s Set) collapseBySignature() Set {
 				}
 			}
 		}
-		out = out.Add(newPathIn(spaceOf(procSpace, first), segs, !definite))
+		out = append(out, newPathIn(spaceOf(procSpace, first), segs, !definite))
 	}
-	return out
+	return canonSet(out)
 }
 
 // Equal reports set equality including definiteness flags. The fingerprint
@@ -468,13 +514,13 @@ func (sp *Space) ParseSet(src string) (Set, error) {
 	if src == "" || src == "{}" {
 		return EmptySet(), nil
 	}
-	var out Set
+	var out []Path
 	for _, part := range strings.Split(src, ",") {
 		p, err := sp.Parse(strings.TrimSpace(part))
 		if err != nil {
 			return Set{}, err
 		}
-		out = out.Add(p)
+		out = append(out, p)
 	}
-	return out, nil
+	return canonSet(out), nil
 }
