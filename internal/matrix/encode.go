@@ -60,13 +60,13 @@ func (e *Encoded) SizeBytes() int {
 func (m *Matrix) Encode() Encoded {
 	e := Encoded{Sticky: m.sticky}
 	e.Handles = make([]EncodedHandle, 0, len(m.order))
-	for _, h := range m.order {
-		a := m.attrs[h]
+	for i, h := range m.order {
+		a := m.slots[i].a
 		e.Handles = append(e.Handles, EncodedHandle{Handle: h, Nil: a.Nil, Indeg: a.Indeg})
 	}
-	for _, r := range m.order {
-		for _, c := range m.order {
-			if s := m.Get(r, c); !s.IsEmpty() {
+	for i, r := range m.order {
+		for j, c := range m.order {
+			if s := m.at(m.key(i, j)); !s.IsEmpty() {
 				e.Cells = append(e.Cells, EncodedCell{Row: r, Col: c, Paths: s.String()})
 			}
 		}

@@ -9,8 +9,8 @@ import (
 // Per-matrix 128-bit fingerprints. Every component of the convergence
 // identity — the sticky shape, each (handle, attribute) record, and each
 // (row, col) → path-set entry — contributes a two-lane hash; lanes combine
-// by modular addition, so the fingerprint is independent of map iteration
-// and handle insertion order and is maintained incrementally: every
+// by modular addition, so the fingerprint is independent of handle
+// insertion order and is maintained incrementally: every
 // mutation subtracts the old contribution and adds the new one instead of
 // re-rendering the matrix. This replaces the sorted-string Matrix.Key of
 // the §5.2 summary memoization with a fixed-size comparable value.
@@ -41,9 +41,9 @@ func fpLanes(x, seed uint64) Fp {
 func stickyFP(s Shape) Fp { return fpLanes(uint64(s)+1, fpStickySeed) }
 
 // attrFP is the contribution of one live handle's attribute record, keyed
-// by the handle's ID in the matrix's Space.
-func attrFP(sp *Space, h Handle, a Attr) Fp {
-	x := uint64(sp.idOf(h))<<16 | uint64(a.Nil)<<8 | uint64(a.Indeg)
+// by the handle's interned ID (its slot ID).
+func attrFP(id uint32, a Attr) Fp {
+	x := uint64(id)<<16 | uint64(a.Nil)<<8 | uint64(a.Indeg)
 	return fpLanes(x, fpAttrSeed)
 }
 
@@ -64,13 +64,13 @@ func (m *Matrix) fpSub(d Fp) { m.fp.Hi -= d.Hi; m.fp.Lo -= d.Lo }
 // the incremental maintenance is property-tested against.
 func (m *Matrix) recomputeFP() Fp {
 	fp := stickyFP(m.sticky)
-	for h, a := range m.attrs {
-		f := attrFP(m.sp, h, a)
+	for _, sl := range m.slots {
+		f := attrFP(sl.id, sl.a)
 		fp.Hi += f.Hi
 		fp.Lo += f.Lo
 	}
-	for k, v := range m.entries {
-		f := entryFP(k, v)
+	for _, c := range m.cells {
+		f := entryFP(c.k, c.s)
 		fp.Hi += f.Hi
 		fp.Lo += f.Lo
 	}

@@ -8,13 +8,13 @@ import (
 
 // Handle interning: every handle name used by any matrix of one Space is
 // mapped once to a small ID, and matrix entries are keyed by packed ID
-// pairs (uint64) instead of string pairs. Map lookups on the analysis hot
-// path then hash one machine word instead of two strings, and IDs are
-// stable across matrices of the same Space, so keys survive
-// Copy/Merge/Project without re-hashing. The table is mutex-guarded for
-// the concurrent analysis fixpoint; handle universes are tiny (program
-// variables plus symbolic h*/h** names), so a single RWMutex does not
-// contend.
+// pairs instead of string pairs. A matrix resolves a name here only when
+// the name first enters it (Add); the ID then lives in the handle's slot,
+// and Copy, Merge and Project carry it over, so Get, Put, Equal and the
+// merge-join work on the matrix's own slices without consulting the
+// table. IDs are stable across the matrices of one Space, so packed keys
+// of two matrices compare directly. The table is mutex-guarded because the
+// concurrent analysis fixpoint adds handles from several workers.
 
 // A Space scopes the handle interner to one path.Space: matrices built in
 // the Space intern their handles here and their path sets there, so a
@@ -29,8 +29,7 @@ import (
 // matrices built before a Reset must not be used after it. Because IDs are
 // never reused, a stale matrix keeps the benign failure mode the contract
 // promises: its packed entry keys can never collide with fresh IDs and
-// silently read another handle's entry (lookups miss, and resolving a
-// stale ID to a name fails loudly).
+// silently read another handle's entry.
 type Space struct {
 	paths *path.Space
 
@@ -38,8 +37,7 @@ type Space struct {
 	ids map[Handle]uint32
 	// base is the first ID of the current epoch; like path node IDs,
 	// handle IDs are monotonic and never reused across epochs.
-	base  uint32
-	names []Handle // index (id - base) → name
+	base uint32
 }
 
 // NewSpace builds a matrix Space bound to ps, tying its handle table to
@@ -48,9 +46,8 @@ func NewSpace(ps *path.Space) *Space {
 	sp := &Space{paths: ps, ids: make(map[Handle]uint32)}
 	ps.OnReset(func() {
 		sp.mu.Lock()
-		sp.base += uint32(len(sp.names))
+		sp.base += uint32(len(sp.ids))
 		sp.ids = make(map[Handle]uint32)
-		sp.names = nil
 		sp.mu.Unlock()
 	})
 	return sp
@@ -76,7 +73,7 @@ func DefaultSpace() *Space {
 // current epoch has interned.
 func (sp *Space) InternedHandles() int {
 	sp.mu.RLock()
-	n := len(sp.names)
+	n := len(sp.ids)
 	sp.mu.RUnlock()
 	return n
 }
@@ -98,48 +95,12 @@ func (sp *Space) idOf(h Handle) uint32 {
 	if id, ok := sp.ids[h]; ok {
 		return id
 	}
-	id = sp.base + uint32(len(sp.names))
+	id = sp.base + uint32(len(sp.ids))
 	if id < sp.base {
 		// Monotonic-ID exhaustion: a wrap would let a stale matrix's packed
 		// keys collide with fresh handles, so fail fast (cf. path.intern).
 		panic("matrix: interned handle IDs exhausted; restart the process")
 	}
 	sp.ids[h] = id
-	sp.names = append(sp.names, h)
 	return id
 }
-
-// nameOf returns the handle with the given interned ID (current epoch).
-func (sp *Space) nameOf(id uint32) Handle {
-	sp.mu.RLock()
-	h := sp.names[id-sp.base]
-	sp.mu.RUnlock()
-	return h
-}
-
-// entryKey packs an interned (row, col) handle pair into one map key.
-type entryKey uint64
-
-// ek resolves both IDs under a single read-lock acquisition — it sits on
-// the hottest path of the concurrent fixpoint (every Get/Put), where two
-// separate idOf calls would double the traffic on the shared lock word.
-func (sp *Space) ek(row, col Handle) entryKey {
-	sp.mu.RLock()
-	r, okR := sp.ids[row]
-	c, okC := sp.ids[col]
-	sp.mu.RUnlock()
-	if !okR {
-		r = sp.idOf(row)
-	}
-	if !okC {
-		c = sp.idOf(col)
-	}
-	return entryKey(uint64(r)<<32 | uint64(c))
-}
-
-// keyHandles resolves a packed key back to its handle names.
-func (sp *Space) keyHandles(k entryKey) (row, col Handle) {
-	return sp.nameOf(uint32(k >> 32)), sp.nameOf(uint32(k))
-}
-
-func (k entryKey) diagonal() bool { return uint32(k>>32) == uint32(k) }

@@ -9,6 +9,7 @@ package matrix
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"text/tabwriter"
 
@@ -150,20 +151,55 @@ func (s Shape) DefinitelyAcyclic() bool { return s <= ShapeDAG }
 // reverse (§1: "a tree may be changed temporarily into a DAG, as an
 // intermediate step in swapping some nodes") verify as TREE again once the
 // swap completes.
+//
+// A matrix relates a handful of handles (at most 8 at any point of the
+// corpus), so it is stored as three small slices rather than hash maps:
+// the handle names, a parallel slot per handle, and the non-empty entries
+// sorted by packed key. Handles are found by scanning the names, entries
+// by binary search, and Copy, Merge and Equal are linear passes.
 type Matrix struct {
-	// sp is the Space whose handle table keys the entries; derived matrices
-	// (Copy, Merge, Rename, Project) inherit it.
-	sp      *Space
-	order   []Handle // insertion order, for paper-layout printing
-	entries map[entryKey]path.Set
-	attrs   map[Handle]Attr
-	sticky  Shape
+	// sp is the Space whose handle table assigns the slot IDs; derived
+	// matrices (Copy, Merge, Rename, Project) inherit it.
+	sp     *Space
+	order  []Handle // insertion order, for paper-layout printing
+	slots  []slot   // slots[i] belongs to order[i]
+	cells  []cell   // the non-empty entries, sorted by key
+	sticky Shape
 	// fp is the incrementally maintained 128-bit fingerprint of
-	// (sticky, attrs, entries); see fingerprint.go. Every mutation of the
-	// three fingerprinted fields must go through setSticky / putAttr /
-	// dropAttr / setEntry so the roll-up stays exact.
+	// (sticky, slots, cells); see fingerprint.go. Every mutation of the
+	// three fingerprinted fields must go through setSticky / addSlot /
+	// putAttr / setEntry / appendCell (or subtract and re-add the
+	// contribution itself) so the roll-up stays exact.
 	fp Fp
 }
+
+// slot is one live handle's interned ID, resolved once when the name
+// enters the matrix and carried over by Copy, Merge and Project, with the
+// handle's attribute record.
+type slot struct {
+	id uint32
+	a  Attr
+}
+
+// cell is one non-empty entry p[row, col].
+type cell struct {
+	k entryKey
+	s path.Set
+}
+
+// entryKey packs the interned (row, col) handle pair of an entry; cells
+// sort by it.
+type entryKey uint64
+
+func pairKey(row, col uint32) entryKey { return entryKey(uint64(row)<<32 | uint64(col)) }
+
+func (k entryKey) row() uint32    { return uint32(k >> 32) }
+func (k entryKey) col() uint32    { return uint32(k) }
+func (k entryKey) diagonal() bool { return k.row() == k.col() }
+
+// sameSet is the definite S diagonal of a non-nil handle. S carries no
+// interned segments, so one value serves every Space.
+var sameSet = path.NewSet(path.Same())
 
 // New returns an empty matrix describing a TREE store with no live
 // handles, interning in the default Space (one-shot CLI/test convenience;
@@ -172,12 +208,7 @@ func New() *Matrix { return NewIn(DefaultSpace()) }
 
 // NewIn returns an empty TREE matrix whose handles intern into sp.
 func NewIn(sp *Space) *Matrix {
-	return &Matrix{
-		sp:      sp,
-		entries: make(map[entryKey]path.Set),
-		attrs:   make(map[Handle]Attr),
-		fp:      stickyFP(ShapeTree),
-	}
+	return &Matrix{sp: sp, fp: stickyFP(ShapeTree)}
 }
 
 // Space returns the matrix's owning Space.
@@ -185,25 +216,57 @@ func (m *Matrix) Space() *Space { return m.sp }
 
 // Copy returns a deep copy (in the same Space).
 func (m *Matrix) Copy() *Matrix {
-	c := &Matrix{
-		sp:      m.sp,
-		order:   append([]Handle(nil), m.order...),
-		entries: make(map[entryKey]path.Set, len(m.entries)),
-		attrs:   make(map[Handle]Attr, len(m.attrs)),
-		sticky:  m.sticky,
-		fp:      m.fp,
+	return &Matrix{
+		sp:     m.sp,
+		order:  slices.Clone(m.order),
+		slots:  slices.Clone(m.slots),
+		cells:  slices.Clone(m.cells),
+		sticky: m.sticky,
+		fp:     m.fp,
 	}
-	for k, v := range m.entries {
-		c.entries[k] = v
-	}
-	for k, v := range m.attrs {
-		c.attrs[k] = v
-	}
-	return c
 }
 
-// setSticky, putAttr, dropAttr and setEntry are the only writers of the
-// fingerprinted fields: each keeps m.fp in sync by subtracting the old
+// slotOf returns the index of h's slot, or -1 when h is not live.
+func (m *Matrix) slotOf(h Handle) int { return slices.Index(m.order, h) }
+
+// slotByID returns the index of the slot with the given ID, or -1.
+func (m *Matrix) slotByID(id uint32) int {
+	for i, sl := range m.slots {
+		if sl.id == id {
+			return i
+		}
+	}
+	return -1
+}
+
+// find binary-searches the cells for k: the index of its cell, or of
+// where it would be inserted.
+func (m *Matrix) find(k entryKey) (int, bool) {
+	lo, hi := 0, len(m.cells)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if m.cells[mid].k < k {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(m.cells) && m.cells[lo].k == k
+}
+
+// at returns the entry stored under k (empty when absent).
+func (m *Matrix) at(k entryKey) path.Set {
+	if i, ok := m.find(k); ok {
+		return m.cells[i].s
+	}
+	return path.EmptySet()
+}
+
+// key is the packed key of the entry relating slots i and j.
+func (m *Matrix) key(i, j int) entryKey { return pairKey(m.slots[i].id, m.slots[j].id) }
+
+// setSticky, addSlot, putAttr, setEntry and appendCell are the writers of
+// the fingerprinted fields: each keeps m.fp in sync by subtracting the old
 // contribution and adding the new one.
 
 func (m *Matrix) setSticky(s Shape) {
@@ -215,41 +278,72 @@ func (m *Matrix) setSticky(s Shape) {
 	m.fpAdd(stickyFP(s))
 }
 
-func (m *Matrix) putAttr(h Handle, a Attr) {
-	if old, ok := m.attrs[h]; ok {
-		if old == a {
-			return
-		}
-		m.fpSub(attrFP(m.sp, h, old))
-	}
-	m.attrs[h] = a
-	m.fpAdd(attrFP(m.sp, h, a))
+// addSlot appends a handle that is not live yet.
+func (m *Matrix) addSlot(h Handle, id uint32, a Attr) {
+	m.order = append(m.order, h)
+	m.slots = append(m.slots, slot{id: id, a: a})
+	m.fpAdd(attrFP(id, a))
 }
 
-func (m *Matrix) dropAttr(h Handle) {
-	if old, ok := m.attrs[h]; ok {
-		m.fpSub(attrFP(m.sp, h, old))
-		delete(m.attrs, h)
-	}
-}
-
-func (m *Matrix) setEntry(k entryKey, s path.Set) {
-	if old, ok := m.entries[k]; ok {
-		m.fpSub(entryFP(k, old))
-	}
-	if s.IsEmpty() {
-		delete(m.entries, k)
+func (m *Matrix) putAttr(i int, a Attr) {
+	sl := &m.slots[i]
+	if sl.a == a {
 		return
 	}
-	m.entries[k] = s
+	m.fpSub(attrFP(sl.id, sl.a))
+	sl.a = a
+	m.fpAdd(attrFP(sl.id, a))
+}
+
+// setEntry stores s under k; an empty set deletes the cell.
+func (m *Matrix) setEntry(k entryKey, s path.Set) {
+	i, ok := m.find(k)
+	switch {
+	case ok && s.IsEmpty():
+		m.fpSub(entryFP(k, m.cells[i].s))
+		m.cells = slices.Delete(m.cells, i, i+1)
+		return
+	case ok:
+		m.fpSub(entryFP(k, m.cells[i].s))
+		m.cells[i].s = s
+	case s.IsEmpty():
+		return
+	default:
+		m.cells = slices.Insert(m.cells, i, cell{k: k, s: s})
+	}
 	m.fpAdd(entryFP(k, s))
+}
+
+// appendCell stores s under a key greater than every key present (the
+// merge-join and filter passes build cells in key order).
+func (m *Matrix) appendCell(k entryKey, s path.Set) {
+	if s.IsEmpty() {
+		return
+	}
+	m.cells = append(m.cells, cell{k: k, s: s})
+	m.fpAdd(entryFP(k, s))
+}
+
+// seedDiagonals gives every non-nil handle that has no diagonal cell the
+// S diagonal Add seeds, as derivations that add handles through Add did.
+func (m *Matrix) seedDiagonals() {
+	for _, sl := range m.slots {
+		if sl.a.Nil == DefNil {
+			continue
+		}
+		k := pairKey(sl.id, sl.id)
+		if _, ok := m.find(k); !ok {
+			m.setEntry(k, sameSet)
+		}
+	}
 }
 
 // Shape returns the current structure estimate: the sticky damage joined
 // with sharing visible in the live indegree attributes.
 func (m *Matrix) Shape() Shape {
 	s := m.sticky
-	for _, a := range m.attrs {
+	for _, sl := range m.slots {
+		a := sl.a
 		if a.Indeg != Shared || a.Nil == DefNil {
 			continue
 		}
@@ -294,76 +388,87 @@ func (m *Matrix) foldDyingAttr(a Attr) {
 }
 
 // Has reports whether h is live in the matrix.
-func (m *Matrix) Has(h Handle) bool {
-	_, ok := m.attrs[h]
-	return ok
-}
+func (m *Matrix) Has(h Handle) bool { return m.slotOf(h) >= 0 }
 
 // Handles returns the live handles in insertion order. Callers must not
 // modify the returned slice.
 func (m *Matrix) Handles() []Handle { return m.order }
 
 // Attr returns the attribute record for h (zero Attr if not live).
-func (m *Matrix) Attr(h Handle) Attr { return m.attrs[h] }
+func (m *Matrix) Attr(h Handle) Attr {
+	if i := m.slotOf(h); i >= 0 {
+		return m.slots[i].a
+	}
+	return Attr{}
+}
 
 // SetAttr updates the attribute record for a live handle.
 func (m *Matrix) SetAttr(h Handle, a Attr) {
-	if !m.Has(h) {
-		return
+	if i := m.slotOf(h); i >= 0 {
+		m.putAttr(i, a)
 	}
-	m.putAttr(h, a)
 }
 
-// Add introduces a handle with the given attributes. A non-nil handle
-// relates to itself by definite S; re-adding an existing handle only
-// updates its attributes.
+// Add introduces a handle with the given attributes and resets its
+// diagonal entry: a non-nil handle relates to itself by exactly the
+// definite S, a nil one by nothing. Re-adding a live handle keeps its
+// position and its off-diagonal entries but replaces its attributes and
+// resets the diagonal the same way, discarding whatever diagonal it had
+// (the transfer functions re-add a handle to restore its S diagonal).
 func (m *Matrix) Add(h Handle, a Attr) {
-	if !m.Has(h) {
-		m.order = append(m.order, h)
-	}
-	m.putAttr(h, a)
-	if a.Nil != DefNil {
-		m.setEntry(m.sp.ek(h, h), path.NewSet(path.Same()))
+	i := m.slotOf(h)
+	if i < 0 {
+		m.addSlot(h, m.sp.idOf(h), a)
+		i = len(m.slots) - 1
 	} else {
-		m.setEntry(m.sp.ek(h, h), path.EmptySet())
+		m.putAttr(i, a)
 	}
+	diag := path.EmptySet()
+	if a.Nil != DefNil {
+		diag = sameSet
+	}
+	m.setEntry(m.key(i, i), diag)
 }
 
 // Remove kills a handle: its row and column disappear (the paper's
 // treatment of dead or reassigned handles). Structure evidence the handle
 // carried folds into the sticky estimate.
 func (m *Matrix) Remove(h Handle) {
-	if !m.Has(h) {
+	i := m.slotOf(h)
+	if i < 0 {
 		return
 	}
-	m.foldDyingAttr(m.attrs[h])
-	for i, o := range m.order {
-		if o == h {
-			m.order = append(m.order[:i:i], m.order[i+1:]...)
-			break
+	sl := m.slots[i]
+	m.foldDyingAttr(sl.a)
+	m.fpSub(attrFP(sl.id, sl.a))
+	// A fresh order slice: callers may be ranging over Handles().
+	m.order = append(m.order[:i:i], m.order[i+1:]...)
+	m.slots = slices.Delete(m.slots, i, i+1)
+	m.cells = slices.DeleteFunc(m.cells, func(c cell) bool {
+		if c.k.row() != sl.id && c.k.col() != sl.id {
+			return false
 		}
-	}
-	m.dropAttr(h)
-	hid := m.sp.idOf(h)
-	for k, v := range m.entries {
-		if uint32(k>>32) == hid || uint32(k) == hid {
-			m.fpSub(entryFP(k, v))
-			delete(m.entries, k)
-		}
-	}
+		m.fpSub(entryFP(c.k, c.s))
+		return true
+	})
 }
 
 // Get returns the entry p[a,b] (empty set when absent or handles unknown).
 func (m *Matrix) Get(a, b Handle) path.Set {
-	return m.entries[m.sp.ek(a, b)]
+	i, j := m.slotOf(a), m.slotOf(b)
+	if i < 0 || j < 0 {
+		return path.EmptySet()
+	}
+	return m.at(m.key(i, j))
 }
 
 // Put sets the entry p[a,b]; an empty set deletes it.
 func (m *Matrix) Put(a, b Handle, s path.Set) {
-	if !m.Has(a) || !m.Has(b) {
+	i, j := m.slotOf(a), m.slotOf(b)
+	if i < 0 || j < 0 {
 		return
 	}
-	m.setEntry(m.sp.ek(a, b), s)
+	m.setEntry(m.key(i, j), s)
 }
 
 // AddPaths unions extra paths into p[a,b].
@@ -395,25 +500,20 @@ func (m *Matrix) MayAlias(a, b Handle) bool {
 // Equal compares matrices: same handles (any order), equal entries, equal
 // attributes and shape. This is the convergence test of the Figure 3
 // iteration; the fingerprint comparison rejects unequal matrices in O(1)
-// and equality is still decided structurally (collision safety).
+// and equality is still decided structurally (collision safety). Both
+// matrices share one Space, so a handle is the same in both exactly when
+// its slot ID is.
 func (m *Matrix) Equal(o *Matrix) bool {
-	if m.fp != o.fp {
+	if m.fp != o.fp || m.sticky != o.sticky || len(m.slots) != len(o.slots) || len(m.cells) != len(o.cells) {
 		return false
 	}
-	if m.sticky != o.sticky || len(m.attrs) != len(o.attrs) {
-		return false
-	}
-	for h, a := range m.attrs {
-		oa, ok := o.attrs[h]
-		if !ok || a != oa {
+	for i, sl := range m.slots {
+		if o.slots[i] != sl && !slices.Contains(o.slots, sl) {
 			return false
 		}
 	}
-	if len(m.entries) != len(o.entries) {
-		return false
-	}
-	for k, v := range m.entries {
-		if !o.entries[k].Equal(v) {
+	for i, c := range m.cells {
+		if c.k != o.cells[i].k || !c.s.Equal(o.cells[i].s) {
 			return false
 		}
 	}
@@ -447,82 +547,97 @@ func mergeShape(a, b Shape) Shape {
 // matrix: handles live on only one side stay live (their relations demoted
 // to possible), entries merge pointwise with definite-iff-definite-in-both,
 // attributes join in their lattices, sticky shape joins with one-sided
-// weakening.
+// weakening. Both matrices share one Space, so handles match by slot ID
+// and the entries merge as one join of the two sorted cell lists.
 func (m *Matrix) Merge(o *Matrix) *Matrix {
 	out := NewIn(m.sp)
 	out.setSticky(mergeShape(m.sticky, o.sticky))
 	// Preserve m's ordering first, then o's extras. A node shared on only
 	// one side is possibly shared: the Indegree lattice has no value for
 	// that, so the evidence moves to the sticky estimate.
-	mergeAttrs := func(a, b Attr) Attr {
+	extra := 0
+	for _, sl := range o.slots {
+		if m.slotByID(sl.id) < 0 {
+			extra++
+		}
+	}
+	out.order = make([]Handle, 0, len(m.order)+extra)
+	out.slots = make([]slot, 0, len(m.order)+extra)
+	oneSided := func(a Attr) Attr { return Attr{Nil: mergeNilness(a.Nil, MaybeNil), Indeg: a.Indeg} }
+	for i, h := range m.order {
+		sl := m.slots[i]
+		j := o.slotByID(sl.id)
+		if j < 0 {
+			out.addSlot(h, sl.id, oneSided(sl.a))
+			continue
+		}
+		a, b := sl.a, o.slots[j].a
 		if (a.Indeg == Shared) != (b.Indeg == Shared) {
 			out.SetShape(ShapeMaybeDAG)
 		}
-		return Attr{Nil: mergeNilness(a.Nil, b.Nil), Indeg: mergeIndegree(a.Indeg, b.Indeg)}
+		out.addSlot(h, sl.id, Attr{Nil: mergeNilness(a.Nil, b.Nil), Indeg: mergeIndegree(a.Indeg, b.Indeg)})
 	}
-	for _, h := range m.order {
-		if oa, ok := o.attrs[h]; ok {
-			out.Add(h, mergeAttrs(m.attrs[h], oa))
-		} else {
-			a := m.attrs[h]
-			out.Add(h, Attr{Nil: mergeNilness(a.Nil, MaybeNil), Indeg: a.Indeg})
+	for j, h := range o.order {
+		if sl := o.slots[j]; m.slotByID(sl.id) < 0 {
+			out.addSlot(h, sl.id, oneSided(sl.a))
 		}
 	}
-	for _, h := range o.order {
-		if !m.Has(h) {
-			a := o.attrs[h]
-			out.Add(h, Attr{Nil: mergeNilness(a.Nil, MaybeNil), Indeg: a.Indeg})
+	// One merge-join over the sorted cells; an entry present on one side
+	// only merges against the empty set, keeping MergeJoin's operand order
+	// (m's entry first).
+	out.cells = make([]cell, 0, joinLen(m.cells, o.cells))
+	a, b := m.cells, o.cells
+	for len(a) > 0 || len(b) > 0 {
+		var k entryKey
+		var merged path.Set
+		switch {
+		case len(b) == 0 || len(a) > 0 && a[0].k < b[0].k:
+			k, merged = a[0].k, a[0].s.MergeJoin(path.EmptySet())
+			a = a[1:]
+		case len(a) == 0 || b[0].k < a[0].k:
+			k, merged = b[0].k, path.EmptySet().MergeJoin(b[0].s)
+			b = b[1:]
+		default:
+			k, merged = a[0].k, a[0].s.MergeJoin(b[0].s)
+			a, b = a[1:], b[1:]
 		}
-	}
-	// Entries move by packed key (both matrices share one Space), so no key
-	// round-trips through the handle table: liveness and the row handle's
-	// merged attributes are looked up by ID.
-	live := out.liveIDs()
-	put := func(k entryKey, merged path.Set) {
-		row, okR := live[uint32(k>>32)]
-		_, okC := live[uint32(k)]
-		if !okR || !okC {
-			return
-		}
-		if k.diagonal() && row.Nil != DefNil {
+		if k.diagonal() && out.slots[out.slotByID(k.row())].a.Nil != DefNil {
 			// Keep the definite S diagonal for handles live on both sides.
 			merged = merged.Add(path.Same())
 		}
-		out.setEntry(k, merged)
+		out.appendCell(k, merged)
 	}
-	for k, v := range m.entries {
-		put(k, v.MergeJoin(o.entries[k]))
-	}
-	for k, v := range o.entries {
-		if _, ok := m.entries[k]; !ok {
-			put(k, path.EmptySet().MergeJoin(v))
-		}
-	}
+	out.seedDiagonals()
 	return out
 }
 
-// liveIDs maps the interned ID of every live handle to its attributes, so
-// key-level rewrites (Merge, Project) test liveness without resolving
-// packed keys back to names. The handle table is read-locked once; Add
-// interned every live handle, so only a matrix from a reset epoch can miss.
-func (m *Matrix) liveIDs() map[uint32]Attr {
-	ids := make(map[uint32]Attr, len(m.order))
-	m.sp.mu.RLock()
-	for _, h := range m.order {
-		if id, ok := m.sp.ids[h]; ok {
-			ids[id] = m.attrs[h]
+// joinLen counts the distinct keys of two sorted cell lists.
+func joinLen(a, b []cell) int {
+	n := 0
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0].k < b[0].k:
+			a = a[1:]
+		case b[0].k < a[0].k:
+			b = b[1:]
+		default:
+			a, b = a[1:], b[1:]
 		}
+		n++
 	}
-	m.sp.mu.RUnlock()
-	return ids
+	return n + len(a) + len(b)
 }
 
 // Widen applies the domain bounds to every entry, rewriting only the
-// entries the bounds actually change.
+// entries the bounds actually change. Widening never empties a set, so
+// the cells keep their keys and order.
 func (m *Matrix) Widen(lim path.Limits) {
-	for k, v := range m.entries {
-		if w := v.Widen(lim); !w.Equal(v) {
-			m.setEntry(k, w)
+	for i := range m.cells {
+		c := &m.cells[i]
+		if w := c.s.Widen(lim); !w.Equal(c.s) {
+			m.fpSub(entryFP(c.k, c.s))
+			c.s = w
+			m.fpAdd(entryFP(c.k, w))
 		}
 	}
 }
@@ -542,44 +657,38 @@ func (m *Matrix) Rename(sub map[Handle]Handle) *Matrix {
 	}
 	out := NewIn(m.sp)
 	out.setSticky(m.sticky)
-	for _, h := range m.order {
-		n, a := name(h), m.attrs[h]
+	for i, h := range m.order {
+		n, a := name(h), m.slots[i].a
 		if out.Has(n) {
-			prev := out.attrs[n]
+			prev := out.Attr(n)
 			a = Attr{Nil: mergeNilness(prev.Nil, a.Nil), Indeg: mergeIndegree(prev.Indeg, a.Indeg)}
 		}
 		out.Add(n, a)
 	}
-	for k, v := range m.entries {
-		row, col := m.sp.keyHandles(k)
-		out.AddPaths(name(row), name(col), v)
+	for _, c := range m.cells {
+		row, col := m.order[m.slotByID(c.k.row())], m.order[m.slotByID(c.k.col())]
+		out.AddPaths(name(row), name(col), c.s)
 	}
 	return out
 }
 
 // Project restricts the matrix to the given handles (dropping all others).
 func (m *Matrix) Project(keep []Handle) *Matrix {
-	want := make(map[Handle]bool, len(keep))
-	for _, h := range keep {
-		want[h] = true
-	}
 	out := NewIn(m.sp)
 	out.setSticky(m.sticky)
-	for _, h := range m.order {
-		if want[h] {
-			out.Add(h, m.attrs[h])
+	for i, h := range m.order {
+		if slices.Contains(keep, h) {
+			out.addSlot(h, m.slots[i].id, m.slots[i].a)
 		} else {
-			out.foldDyingAttr(m.attrs[h])
+			out.foldDyingAttr(m.slots[i].a)
 		}
 	}
-	live := out.liveIDs()
-	for k, v := range m.entries {
-		_, okR := live[uint32(k>>32)]
-		_, okC := live[uint32(k)]
-		if okR && okC {
-			out.setEntry(k, v)
+	for _, c := range m.cells {
+		if out.slotByID(c.k.row()) >= 0 && out.slotByID(c.k.col()) >= 0 {
+			out.appendCell(c.k, c.s)
 		}
 	}
+	out.seedDiagonals()
 	return out
 }
 
@@ -594,10 +703,10 @@ func (m *Matrix) String() string {
 		fmt.Fprintf(tw, "%s\t", c)
 	}
 	fmt.Fprintln(tw)
-	for _, r := range m.order {
+	for i, r := range m.order {
 		fmt.Fprintf(tw, "%s\t", r)
-		for _, c := range m.order {
-			e := m.Get(r, c)
+		for j := range m.order {
+			e := m.at(m.key(i, j))
 			if e.IsEmpty() {
 				fmt.Fprintf(tw, ".\t")
 			} else {

@@ -1,9 +1,14 @@
 package matrix
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
+	"text/tabwriter"
 
 	"repro/internal/path"
 )
@@ -34,6 +39,27 @@ func TestReAddUpdatesAttr(t *testing.T) {
 	}
 	if m.Attr("a") != (Attr{Nil: NonNil, Indeg: Root}) {
 		t.Errorf("attr = %+v", m.Attr("a"))
+	}
+	// Re-adding also resets the diagonal: a non-nil re-add restores exactly
+	// the definite S whatever the diagonal held, a nil re-add clears it,
+	// and off-diagonal entries survive either way.
+	m.Add("b", nonNil())
+	m.Put("a", "b", path.MustParseSet("L1"))
+	m.Put("a", "a", path.MustParseSet("S?, L1R1+?"))
+	m.Add("a", Attr{Nil: NonNil, Indeg: Attached})
+	if got := m.Get("a", "a").String(); got != "S" {
+		t.Errorf("diagonal after non-nil re-add = %q, want S", got)
+	}
+	m.Put("a", "a", path.MustParseSet("S?"))
+	m.Add("a", Attr{Nil: DefNil, Indeg: Root})
+	if got := m.Get("a", "a"); !got.IsEmpty() {
+		t.Errorf("diagonal after nil re-add = %q, want empty", got)
+	}
+	if got := m.Get("a", "b").String(); got != "L1" {
+		t.Errorf("re-add disturbed p[a,b] = %q", got)
+	}
+	if got := m.Handles(); !slices.Equal(got, []Handle{"a", "b"}) {
+		t.Errorf("re-add moved handles: %v", got)
 	}
 }
 
@@ -459,8 +485,8 @@ func TestHandleIDsNotReusedAcrossEpochs(t *testing.T) {
 	if b <= a {
 		t.Errorf("handle ID %d reused/regressed across epochs (previous %d)", b, a)
 	}
-	if sp.nameOf(b) != "epoch-probe-b" {
-		t.Errorf("nameOf(%d) = %q", b, sp.nameOf(b))
+	if again := sp.idOf("epoch-probe-b"); again != b {
+		t.Errorf("idOf(epoch-probe-b) = %d, then %d: IDs must be stable within an epoch", b, again)
 	}
 }
 
@@ -537,5 +563,596 @@ func TestWidenAllocs(t *testing.T) {
 	}
 	if m.Fingerprint() != fp {
 		t.Error("re-widening changed the matrix")
+	}
+}
+
+// refMatrix is the former two-map representation of a path matrix (a
+// map[Handle]Attr plus a map of packed keys to sets), kept as the
+// reference model the slot/cell representation is checked against. It
+// recomputes nothing incrementally except the fingerprint, resolves every
+// name through the Space's handle table, and derives Merge, Rename and
+// Project by whole-map passes, as the original did.
+type refMatrix struct {
+	sp      *Space
+	order   []Handle
+	entries map[entryKey]path.Set
+	attrs   map[Handle]Attr
+	names   map[uint32]Handle // resolves packed keys back to names
+	sticky  Shape
+	fp      Fp
+}
+
+func newRef(sp *Space) *refMatrix {
+	return &refMatrix{
+		sp:      sp,
+		entries: make(map[entryKey]path.Set),
+		attrs:   make(map[Handle]Attr),
+		names:   make(map[uint32]Handle),
+		fp:      stickyFP(ShapeTree),
+	}
+}
+
+func (m *refMatrix) id(h Handle) uint32 {
+	id := m.sp.idOf(h)
+	m.names[id] = h
+	return id
+}
+
+func (m *refMatrix) ek(a, b Handle) entryKey { return pairKey(m.id(a), m.id(b)) }
+
+func (m *refMatrix) copyNames(o *refMatrix) {
+	for id, h := range o.names {
+		m.names[id] = h
+	}
+}
+
+func (m *refMatrix) fpAdd(d Fp) { m.fp.Hi += d.Hi; m.fp.Lo += d.Lo }
+func (m *refMatrix) fpSub(d Fp) { m.fp.Hi -= d.Hi; m.fp.Lo -= d.Lo }
+
+func (m *refMatrix) Copy() *refMatrix {
+	c := newRef(m.sp)
+	c.order = append([]Handle(nil), m.order...)
+	for k, v := range m.entries {
+		c.entries[k] = v
+	}
+	for k, v := range m.attrs {
+		c.attrs[k] = v
+	}
+	c.copyNames(m)
+	c.sticky, c.fp = m.sticky, m.fp
+	return c
+}
+
+func (m *refMatrix) setSticky(s Shape) {
+	if s == m.sticky {
+		return
+	}
+	m.fpSub(stickyFP(m.sticky))
+	m.sticky = s
+	m.fpAdd(stickyFP(s))
+}
+
+func (m *refMatrix) putAttr(h Handle, a Attr) {
+	if old, ok := m.attrs[h]; ok {
+		if old == a {
+			return
+		}
+		m.fpSub(attrFP(m.id(h), old))
+	}
+	m.attrs[h] = a
+	m.fpAdd(attrFP(m.id(h), a))
+}
+
+func (m *refMatrix) setEntry(k entryKey, s path.Set) {
+	if old, ok := m.entries[k]; ok {
+		m.fpSub(entryFP(k, old))
+	}
+	if s.IsEmpty() {
+		delete(m.entries, k)
+		return
+	}
+	m.entries[k] = s
+	m.fpAdd(entryFP(k, s))
+}
+
+func (m *refMatrix) Shape() Shape {
+	s := m.sticky
+	for _, a := range m.attrs {
+		if a.Indeg != Shared || a.Nil == DefNil {
+			continue
+		}
+		derived := ShapeDAG
+		if a.Nil == MaybeNil {
+			derived = ShapeMaybeDAG
+		}
+		if derived > s {
+			s = derived
+		}
+	}
+	return s
+}
+
+func (m *refMatrix) SetShape(s Shape) {
+	if s > m.sticky {
+		m.setSticky(s)
+	}
+}
+
+func (m *refMatrix) foldDyingAttr(a Attr) {
+	if a.Indeg == Shared && a.Nil != DefNil {
+		if a.Nil == MaybeNil {
+			m.SetShape(ShapeMaybeDAG)
+		} else {
+			m.SetShape(ShapeDAG)
+		}
+	}
+}
+
+func (m *refMatrix) Has(h Handle) bool { _, ok := m.attrs[h]; return ok }
+
+func (m *refMatrix) SetAttr(h Handle, a Attr) {
+	if m.Has(h) {
+		m.putAttr(h, a)
+	}
+}
+
+func (m *refMatrix) Add(h Handle, a Attr) {
+	if !m.Has(h) {
+		m.order = append(m.order, h)
+	}
+	m.putAttr(h, a)
+	if a.Nil != DefNil {
+		m.setEntry(m.ek(h, h), path.NewSet(path.Same()))
+	} else {
+		m.setEntry(m.ek(h, h), path.EmptySet())
+	}
+}
+
+func (m *refMatrix) Remove(h Handle) {
+	if !m.Has(h) {
+		return
+	}
+	m.foldDyingAttr(m.attrs[h])
+	for i, o := range m.order {
+		if o == h {
+			m.order = append(m.order[:i:i], m.order[i+1:]...)
+			break
+		}
+	}
+	m.fpSub(attrFP(m.id(h), m.attrs[h]))
+	delete(m.attrs, h)
+	hid := m.id(h)
+	for k, v := range m.entries {
+		if k.row() == hid || k.col() == hid {
+			m.fpSub(entryFP(k, v))
+			delete(m.entries, k)
+		}
+	}
+}
+
+func (m *refMatrix) Get(a, b Handle) path.Set { return m.entries[m.ek(a, b)] }
+
+func (m *refMatrix) Put(a, b Handle, s path.Set) {
+	if m.Has(a) && m.Has(b) {
+		m.setEntry(m.ek(a, b), s)
+	}
+}
+
+func (m *refMatrix) AddPaths(a, b Handle, s path.Set) {
+	if !s.IsEmpty() {
+		m.Put(a, b, m.Get(a, b).Union(s))
+	}
+}
+
+func (m *refMatrix) Merge(o *refMatrix) *refMatrix {
+	out := newRef(m.sp)
+	out.setSticky(mergeShape(m.sticky, o.sticky))
+	mergeAttrs := func(a, b Attr) Attr {
+		if (a.Indeg == Shared) != (b.Indeg == Shared) {
+			out.SetShape(ShapeMaybeDAG)
+		}
+		return Attr{Nil: mergeNilness(a.Nil, b.Nil), Indeg: mergeIndegree(a.Indeg, b.Indeg)}
+	}
+	for _, h := range m.order {
+		if oa, ok := o.attrs[h]; ok {
+			out.Add(h, mergeAttrs(m.attrs[h], oa))
+		} else {
+			a := m.attrs[h]
+			out.Add(h, Attr{Nil: mergeNilness(a.Nil, MaybeNil), Indeg: a.Indeg})
+		}
+	}
+	for _, h := range o.order {
+		if !m.Has(h) {
+			a := o.attrs[h]
+			out.Add(h, Attr{Nil: mergeNilness(a.Nil, MaybeNil), Indeg: a.Indeg})
+		}
+	}
+	put := func(k entryKey, merged path.Set) {
+		row, col := out.names[k.row()], out.names[k.col()]
+		if !out.Has(row) || !out.Has(col) {
+			return
+		}
+		if k.diagonal() && out.attrs[row].Nil != DefNil {
+			merged = merged.Add(path.Same())
+		}
+		out.setEntry(k, merged)
+	}
+	for k, v := range m.entries {
+		put(k, v.MergeJoin(o.entries[k]))
+	}
+	for k, v := range o.entries {
+		if _, ok := m.entries[k]; !ok {
+			put(k, path.EmptySet().MergeJoin(v))
+		}
+	}
+	return out
+}
+
+func (m *refMatrix) Widen(lim path.Limits) {
+	for k, v := range m.entries {
+		if w := v.Widen(lim); !w.Equal(v) {
+			m.setEntry(k, w)
+		}
+	}
+}
+
+func (m *refMatrix) Rename(sub map[Handle]Handle) *refMatrix {
+	name := func(h Handle) Handle {
+		if n, ok := sub[h]; ok {
+			return n
+		}
+		return h
+	}
+	out := newRef(m.sp)
+	out.setSticky(m.sticky)
+	for _, h := range m.order {
+		n, a := name(h), m.attrs[h]
+		if out.Has(n) {
+			prev := out.attrs[n]
+			a = Attr{Nil: mergeNilness(prev.Nil, a.Nil), Indeg: mergeIndegree(prev.Indeg, a.Indeg)}
+		}
+		out.Add(n, a)
+	}
+	for k, v := range m.entries {
+		out.AddPaths(name(m.names[k.row()]), name(m.names[k.col()]), v)
+	}
+	return out
+}
+
+func (m *refMatrix) Project(keep []Handle) *refMatrix {
+	want := make(map[Handle]bool, len(keep))
+	for _, h := range keep {
+		want[h] = true
+	}
+	out := newRef(m.sp)
+	out.setSticky(m.sticky)
+	for _, h := range m.order {
+		if want[h] {
+			out.Add(h, m.attrs[h])
+		} else {
+			out.foldDyingAttr(m.attrs[h])
+		}
+	}
+	for k, v := range m.entries {
+		if out.Has(m.names[k.row()]) && out.Has(m.names[k.col()]) {
+			out.setEntry(k, v)
+		}
+	}
+	return out
+}
+
+func (m *refMatrix) Encode() Encoded {
+	e := Encoded{Sticky: m.sticky}
+	e.Handles = make([]EncodedHandle, 0, len(m.order))
+	for _, h := range m.order {
+		a := m.attrs[h]
+		e.Handles = append(e.Handles, EncodedHandle{Handle: h, Nil: a.Nil, Indeg: a.Indeg})
+	}
+	for _, r := range m.order {
+		for _, c := range m.order {
+			if s := m.Get(r, c); !s.IsEmpty() {
+				e.Cells = append(e.Cells, EncodedCell{Row: r, Col: c, Paths: s.String()})
+			}
+		}
+	}
+	return e
+}
+
+func (m *refMatrix) String() string {
+	var sb strings.Builder
+	tw := tabwriter.NewWriter(&sb, 2, 0, 2, ' ', 0)
+	fmt.Fprintf(tw, ".\t")
+	for _, c := range m.order {
+		fmt.Fprintf(tw, "%s\t", c)
+	}
+	fmt.Fprintln(tw)
+	for _, r := range m.order {
+		fmt.Fprintf(tw, "%s\t", r)
+		for _, c := range m.order {
+			e := m.Get(r, c)
+			if e.IsEmpty() {
+				fmt.Fprintf(tw, ".\t")
+			} else {
+				fmt.Fprintf(tw, "%s\t", strings.ReplaceAll(e.String(), ", ", ","))
+			}
+		}
+		fmt.Fprintln(tw)
+	}
+	tw.Flush()
+	fmt.Fprintf(&sb, "shape: %s", m.Shape())
+	return sb.String()
+}
+
+// agreeWithRef reports the first observable difference between m and its
+// reference model over the handle universe hs, or "" when they agree.
+func agreeWithRef(m *Matrix, r *refMatrix, hs []Handle) string {
+	if !slices.Equal(m.Handles(), r.order) {
+		return fmt.Sprintf("Handles() = %v, reference %v", m.Handles(), r.order)
+	}
+	if m.Shape() != r.Shape() || m.StickyShape() != r.sticky {
+		return fmt.Sprintf("Shape() = %v/%v, reference %v/%v", m.Shape(), m.StickyShape(), r.Shape(), r.sticky)
+	}
+	for _, a := range hs {
+		if m.Has(a) != r.Has(a) || m.Attr(a) != r.attrs[a] {
+			return fmt.Sprintf("Attr(%s) = %+v, reference %+v", a, m.Attr(a), r.attrs[a])
+		}
+		for _, b := range hs {
+			if !m.Get(a, b).Equal(r.Get(a, b)) {
+				return fmt.Sprintf("Get(%s, %s) = %v, reference %v", a, b, m.Get(a, b), r.Get(a, b))
+			}
+		}
+	}
+	if got, want := m.Encode(), r.Encode(); !reflect.DeepEqual(got, want) {
+		return fmt.Sprintf("Encode() = %+v, reference %+v", got, want)
+	}
+	if got, want := m.String(), r.String(); got != want {
+		return fmt.Sprintf("String() = %q, reference %q", got, want)
+	}
+	if m.Fingerprint() != r.fp {
+		return fmt.Sprintf("Fingerprint() = %v, reference %v", m.Fingerprint(), r.fp)
+	}
+	if m.Fingerprint() != m.recomputeFP() {
+		return "incremental fingerprint diverged from recomputeFP"
+	}
+	if !m.Equal(m.Copy()) {
+		return "matrix not Equal to its own copy"
+	}
+	return ""
+}
+
+// TestMatrixAgreesWithReferenceModel drives random operation sequences on
+// the slot/cell matrix and on the two-map reference model side by side,
+// and after every step requires identical handles, attributes, shapes,
+// entries for every handle pair, encodings, renderings and fingerprints.
+// Merge takes its second operand from a pool of earlier states, so both
+// operands routinely carry handles (and so cell keys) the other lacks.
+func TestMatrixAgreesWithReferenceModel(t *testing.T) {
+	hs := []Handle{"a", "b", "c", "d", "e", "p", "q"}
+	sets := []string{"", "S", "S?", "L1", "L1?", "L+, R1?", "D+", "S, D2+?", "L5, R1D+?"}
+	f := func(seed int64) bool {
+		s := seed
+		next := func(n int) int {
+			s = s*6364136223846793005 + 1442695040888963407
+			return int(uint64(s>>33) % uint64(n))
+		}
+		handle := func() Handle { return hs[next(len(hs))] }
+		set := func() path.Set {
+			if pick := sets[next(len(sets))]; pick != "" {
+				return path.MustParseSet(pick)
+			}
+			return path.EmptySet()
+		}
+		attr := func() Attr { return Attr{Nil: Nilness(next(3)), Indeg: Indegree(next(4))} }
+		type pair struct {
+			m *Matrix
+			r *refMatrix
+		}
+		cur := pair{New(), newRef(DefaultSpace())}
+		pool := []pair{cur}
+		for step := 0; step < 60; step++ {
+			var op string
+			switch next(12) {
+			case 0, 1:
+				h, a := handle(), attr()
+				op = fmt.Sprintf("Add(%s, %+v)", h, a)
+				cur.m.Add(h, a)
+				cur.r.Add(h, a)
+			case 2:
+				h := handle()
+				op = fmt.Sprintf("Remove(%s)", h)
+				cur.m.Remove(h)
+				cur.r.Remove(h)
+			case 3, 4:
+				a, b, v := handle(), handle(), set()
+				op = fmt.Sprintf("Put(%s, %s, %v)", a, b, v)
+				cur.m.Put(a, b, v)
+				cur.r.Put(a, b, v)
+			case 5:
+				a, b, v := handle(), handle(), set()
+				op = fmt.Sprintf("AddPaths(%s, %s, %v)", a, b, v)
+				cur.m.AddPaths(a, b, v)
+				cur.r.AddPaths(a, b, v)
+			case 6:
+				h, a := handle(), attr()
+				op = fmt.Sprintf("SetAttr(%s, %+v)", h, a)
+				cur.m.SetAttr(h, a)
+				cur.r.SetAttr(h, a)
+			case 7:
+				sh := Shape(next(5))
+				op = fmt.Sprintf("SetShape(%v)", sh)
+				cur.m.SetShape(sh)
+				cur.r.SetShape(sh)
+			case 8:
+				lim := path.Limits{MaxExact: 1 + next(2), MaxSegs: 1 + next(3), MaxPaths: 1 + next(3)}
+				op = fmt.Sprintf("Widen(%+v)", lim)
+				cur.m.Widen(lim)
+				cur.r.Widen(lim)
+			case 9:
+				o := pool[next(len(pool))]
+				if next(2) == 0 {
+					op = "Merge(pool)"
+					cur = pair{cur.m.Merge(o.m), cur.r.Merge(o.r)}
+				} else {
+					op = "pool.Merge"
+					cur = pair{o.m.Merge(cur.m), o.r.Merge(cur.r)}
+				}
+			case 10:
+				sub := map[Handle]Handle{handle(): handle(), handle(): handle()}
+				op = fmt.Sprintf("Rename(%v)", sub)
+				cur = pair{cur.m.Rename(sub), cur.r.Rename(sub)}
+			case 11:
+				var keep []Handle
+				for _, h := range hs {
+					if next(3) > 0 {
+						keep = append(keep, h)
+					}
+				}
+				op = fmt.Sprintf("Project(%v)", keep)
+				cur = pair{cur.m.Project(keep), cur.r.Project(keep)}
+			}
+			if next(4) == 0 {
+				pool = append(pool, cur)
+				cur = pair{cur.m.Copy(), cur.r.Copy()}
+				op += "; Copy"
+			}
+			if diff := agreeWithRef(cur.m, cur.r, hs); diff != "" {
+				t.Logf("seed %d, step %d, after %s: %s", seed, step, op, diff)
+				return false
+			}
+		}
+		// The pooled states must not have been disturbed by the
+		// derivations and mutations made after they were pooled.
+		for i, p := range pool {
+			if diff := agreeWithRef(p.m, p.r, hs); diff != "" {
+				t.Logf("seed %d, pooled state %d: %s", seed, i, diff)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// fiveHandles builds a matrix of five related handles, the size the
+// corpus's matrices run at.
+func fiveHandles() *Matrix {
+	m := New()
+	for _, h := range []Handle{"root", "l", "r", "ll", "t"} {
+		m.Add(h, nonNil())
+	}
+	m.Put("root", "l", path.MustParseSet("L1"))
+	m.Put("root", "r", path.MustParseSet("R1"))
+	m.Put("root", "ll", path.MustParseSet("L2"))
+	m.Put("l", "ll", path.MustParseSet("L1"))
+	m.Put("t", "r", path.MustParseSet("S?"))
+	return m
+}
+
+// TestQueryAllocs pins the queries, and Put over an existing entry, to
+// zero allocations: handles are found in the matrix's own slots and
+// entries by binary search, with no map and no handle-table lookup.
+func TestQueryAllocs(t *testing.T) {
+	m := fiveHandles()
+	c := m.Copy()
+	l1, r1 := path.MustParseSet("L1"), path.MustParseSet("L1, R1?")
+	for _, tc := range []struct {
+		name string
+		f    func()
+	}{
+		{"Get", func() { _ = m.Get("root", "ll") }},
+		{"Get absent", func() { _ = m.Get("zz", "l") }},
+		{"Has", func() { _ = m.Has("t") }},
+		{"Attr", func() { _ = m.Attr("r") }},
+		{"Related", func() { _ = m.Related("l", "r") }},
+		{"MayAlias", func() { _ = m.MayAlias("r", "t") }},
+		{"Equal", func() { _ = m.Equal(c) }},
+		{"Put existing", func() { c.Put("l", "ll", r1); c.Put("l", "ll", l1) }},
+	} {
+		if n := testing.AllocsPerRun(100, tc.f); n != 0 {
+			t.Errorf("%s: %v allocs, want 0", tc.name, n)
+		}
+	}
+	if !m.Equal(c) {
+		t.Error("Put round trip changed the copy")
+	}
+}
+
+// TestCopyAllocs: a copy is the matrix header plus three slice clones.
+func TestCopyAllocs(t *testing.T) {
+	m := fiveHandles()
+	if n := testing.AllocsPerRun(100, func() { _ = m.Copy() }); n > 4 {
+		t.Errorf("Copy of a 5-handle matrix: %v allocs, want <= 4", n)
+	}
+}
+
+// TestConcurrentReadersDoNotWrite: the engine's round workers read shared
+// summary matrices concurrently, so the read-only operations — Copy,
+// Merge, Equal, Get, Encode — must never write their receiver or their
+// argument, while other workers keep adding fresh handle names to other
+// matrices of the same Space. Run under -race.
+func TestConcurrentReadersDoNotWrite(t *testing.T) {
+	sp := NewSpace(path.NewSpace())
+	shared := NewIn(sp)
+	for _, h := range []Handle{"root", "l", "r", "t"} {
+		shared.Add(h, Attr{Nil: MaybeNil, Indeg: UnknownDeg})
+	}
+	l1 := path.NewSet(sp.Paths().New(path.Exact(path.LeftD, 1)))
+	shared.Put("root", "l", l1)
+	shared.Put("t", "r", path.NewSet(path.SamePossible()))
+	want := shared.Encode()
+	fp := shared.Fingerprint()
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			other := NewIn(sp)
+			other.Add(Handle(fmt.Sprintf("fresh%d", i)), nonNil())
+			other.Add("root", nonNil())
+		}
+	}()
+	var readers sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for i := 0; i < 200; i++ {
+				c := shared.Copy()
+				if !c.Equal(shared) || !shared.Equal(c) {
+					t.Error("copy not Equal to the shared matrix")
+					return
+				}
+				if mm := shared.Merge(shared); !mm.Equal(shared) {
+					t.Error("merge with itself changed the matrix")
+					return
+				}
+				c.Add("x", nonNil())
+				_ = shared.Merge(c)
+				_ = c.Merge(shared)
+				if !shared.Get("root", "l").Equal(l1) {
+					t.Error("Get read a changed entry")
+					return
+				}
+				if e := shared.Encode(); !reflect.DeepEqual(e, want) {
+					t.Error("Encode changed")
+					return
+				}
+			}
+		}()
+	}
+	readers.Wait()
+	close(stop)
+	wg.Wait()
+	if shared.Fingerprint() != fp || !reflect.DeepEqual(shared.Encode(), want) {
+		t.Error("shared matrix changed under concurrent readers")
 	}
 }
