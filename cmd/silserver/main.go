@@ -54,7 +54,7 @@ func main() {
 	sessions := flag.Int("sessions", 0, "session pool size / worker budget (0 = default)")
 	workers := flag.Int("workers", 0, "per-analysis worker pool size (0 = default; does not affect results)")
 	ctx := flag.Int("ctx", 0, "context-table cap: 0 = default, >0 = override, <0 = merged mode")
-	resetPaths := flag.Int("reset-paths", 1<<20, "per-session interned-path budget before an epoch reset (negative disables)")
+	resetPaths := flag.Int("reset-paths", 1<<20, "per-session budget of interned paths plus handle names before an epoch reset (negative disables)")
 	shards := flag.Int("shards", 1, "fingerprint shards; each shard has its own session pool and result cache")
 	timeout := flag.Duration("timeout", 60*time.Second, "per-request deadline (0 disables); expired requests return 504")
 	maxQueue := flag.Int("max-queue", 0, "admission-queue bound beyond the session pool: 0 = default 256, negative = no queue; excess requests are shed with 429")

@@ -27,6 +27,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -52,7 +53,9 @@ type Options struct {
 	// procedures AND independent call contexts of the same procedure are
 	// analyzed concurrently within a round. Rounds read a frozen snapshot
 	// and apply updates at a deterministic barrier, so the result is
-	// bit-identical for every pool size. 0 picks a default from the
+	// bit-identical for every pool size. The pool counts the calling
+	// goroutine: a round starts min(Workers, items) - 1 helpers and the
+	// caller drains work alongside them. 0 picks a default from the
 	// machine.
 	Workers int
 	// MaxContexts bounds the per-procedure context table of the
@@ -307,16 +310,17 @@ func (in *Info) DiagStrings() []string {
 // normalized; Analyze verifies the basic-statement invariants first.
 //
 // The interprocedural fixpoint is round-based (bulk-synchronous) over
-// (procedure, context) work items: within a round, opts.Workers goroutines
-// analyze the dirty items in parallel against a FROZEN snapshot of every
-// summary — each analysis stages its writes (call entries, exit
-// projection, mod-ref flags) into a private buffer instead of mutating
-// shared state. At the round barrier the staged updates apply sequentially
-// in a canonical, content-sorted order. Because in-round reads see only
-// the snapshot and the barrier is deterministic, the converged result is
-// bit-identical for every worker-pool size — unlike a chaotic worklist,
-// where the order in which joins meet the widening changes which (equally
-// sound) fixpoint the merged summaries land on.
+// (procedure, context) work items: within a round, up to opts.Workers
+// goroutines, the calling goroutine among them, analyze the dirty items in
+// parallel against a FROZEN snapshot of every summary — each analysis
+// stages its writes (call entries, exit projection, mod-ref flags) into a
+// private buffer instead of mutating shared state. At the round barrier
+// the staged updates apply sequentially in a canonical, content-sorted
+// order. Because in-round reads see only the snapshot and the barrier is
+// deterministic, the converged result is bit-identical for every
+// worker-pool size — unlike a chaotic worklist, where the order in which
+// joins meet the widening changes which (equally sound) fixpoint the
+// merged summaries land on.
 //
 // Work items are born on demand (context.go): exact contexts when a caller
 // presents a new entry, the merged fallback only when a consumer appears —
@@ -574,34 +578,37 @@ func (st *stagedUpdates) flagParam(m map[int]bool, pos int) map[int]bool {
 }
 
 // runRound analyzes every work item in parallel against the frozen summary
-// state, returning one staging buffer per item (indexed like work).
+// state, returning one staging buffer per item (indexed like work). The
+// calling goroutine is one of the round's min(Workers, len(work)) workers,
+// so a one-item round starts no goroutine, and the analysis recursion runs
+// on a stack that earlier rounds already grew.
 func (e *engine) runRound(work []item) []*stagedUpdates {
 	stages := make([]*stagedUpdates, len(work))
-	workers := e.opts.Workers
-	if workers > len(work) {
-		workers = len(work)
-	}
 	var next atomic.Int64
+	drain := func() {
+		// Workers are muted: diagnostics from intermediate fixpoint
+		// states would depend on the iteration strategy; the recording
+		// pass re-derives them from the converged summaries.
+		a := &analyzer{eng: e, mute: true}
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(work) {
+				return
+			}
+			a.st = &stagedUpdates{}
+			a.reanalyze(work[i])
+			stages[i] = a.st
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < min(e.opts.Workers, len(work)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Workers are muted: diagnostics from intermediate fixpoint
-			// states would depend on the iteration strategy; the recording
-			// pass re-derives them from the converged summaries.
-			a := &analyzer{eng: e, mute: true}
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(work) {
-					return
-				}
-				a.st = &stagedUpdates{}
-				a.reanalyze(work[i])
-				stages[i] = a.st
-			}
+			drain()
 		}()
 	}
+	drain()
 	wg.Wait() //sillint:allow ctxflow round barrier by design: workers always drain their share, cancellation lands at the next round boundary
 	return stages
 }
@@ -883,23 +890,40 @@ func (e *engine) canonicalKeyCached(m *matrix.Matrix) string {
 // form — the barrier's sort key for staged call entries. (Fingerprints
 // would not do: they incorporate interned IDs, which depend on the
 // process's interning history.)
+//
+// The layout is "sticky|" then "h=nil,indeg|" per handle and "r>c:paths|"
+// per non-empty entry, handles in name order; the bytes (and therefore
+// the barrier's sort order) are pinned against an fmt-built reference in
+// the tests. The buffer starts on the stack, so a key costs the handle
+// copy and the result string.
 func canonicalKey(m *matrix.Matrix) string {
 	hs := append([]matrix.Handle(nil), m.Handles()...)
 	slices.Sort(hs)
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d|", m.StickyShape())
+	var arr [1024]byte
+	b := strconv.AppendUint(arr[:0], uint64(m.StickyShape()), 10)
+	b = append(b, '|')
 	for _, h := range hs {
 		a := m.Attr(h)
-		fmt.Fprintf(&b, "%s=%d,%d|", h, a.Nil, a.Indeg)
+		b = append(b, h...)
+		b = append(b, '=')
+		b = strconv.AppendUint(b, uint64(a.Nil), 10)
+		b = append(b, ',')
+		b = strconv.AppendUint(b, uint64(a.Indeg), 10)
+		b = append(b, '|')
 	}
 	for _, r := range hs {
 		for _, c := range hs {
 			if e := m.Get(r, c); !e.IsEmpty() {
-				fmt.Fprintf(&b, "%s>%s:%s|", r, c, e)
+				b = append(b, r...)
+				b = append(b, '>')
+				b = append(b, c...)
+				b = append(b, ':')
+				b = e.AppendText(b)
+				b = append(b, '|')
 			}
 		}
 	}
-	return b.String()
+	return string(b)
 }
 
 // summary returns the summary for name, or nil.

@@ -397,16 +397,18 @@ func (a *analyzer) update(m *matrix.Matrix, base matrix.Handle, f path.Dir, rhs 
 // of the node named by base: the edge is being overwritten, so such paths
 // may no longer exist.
 func (a *analyzer) killThroughEdge(m *matrix.Matrix, base matrix.Handle, f path.Dir) {
+	psp := a.eng.psp
 	for _, x := range m.Handles() {
-		// Paths from x to base's node (S for x == base or aliases).
-		var prefixes []path.Path
+		// Paths from x through base's f edge: (x→base)·f, with S for
+		// x == base or aliases.
+		var exts []path.Path
 		if x == base {
-			prefixes = append(prefixes, path.Same())
+			exts = append(exts, psp.Extend(path.Same(), f))
 		}
 		for _, p := range m.Get(x, base).Paths() {
-			prefixes = append(prefixes, p)
+			exts = append(exts, psp.Extend(p, f))
 		}
-		if len(prefixes) == 0 {
+		if len(exts) == 0 {
 			continue
 		}
 		for _, y := range m.Handles() {
@@ -421,8 +423,8 @@ func (a *analyzer) killThroughEdge(m *matrix.Matrix, base matrix.Handle, f path.
 				if q.IsSame() {
 					return false
 				}
-				for _, pre := range prefixes {
-					if a.eng.psp.MayRouteThrough(q, pre, f) {
+				for _, ext := range exts {
+					if path.MayDescend(ext, q) {
 						return true
 					}
 				}

@@ -64,10 +64,12 @@ func (m *Matrix) Encode() Encoded {
 		a := m.slots[i].a
 		e.Handles = append(e.Handles, EncodedHandle{Handle: h, Nil: a.Nil, Indeg: a.Indeg})
 	}
+	var buf []byte
 	for i, r := range m.order {
 		for j, c := range m.order {
 			if s := m.at(m.key(i, j)); !s.IsEmpty() {
-				e.Cells = append(e.Cells, EncodedCell{Row: r, Col: c, Paths: s.String()})
+				buf = s.AppendText(buf[:0])
+				e.Cells = append(e.Cells, EncodedCell{Row: r, Col: c, Paths: string(buf)})
 			}
 		}
 	}

@@ -10,6 +10,7 @@ package matrix
 import (
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 	"text/tabwriter"
 
@@ -22,10 +23,10 @@ import (
 type Handle string
 
 // Symbolic constructs the caller-argument symbolic handle h*i.
-func Symbolic(i int) Handle { return Handle(fmt.Sprintf("h*%d", i)) }
+func Symbolic(i int) Handle { return Handle("h*" + strconv.Itoa(i)) }
 
 // Stacked constructs the stacked-recursion symbolic handle h**i.
-func Stacked(i int) Handle { return Handle(fmt.Sprintf("h**%d", i)) }
+func Stacked(i int) Handle { return Handle("h**" + strconv.Itoa(i)) }
 
 // IsSymbolic reports whether h is an h* or h** handle.
 func (h Handle) IsSymbolic() bool { return strings.Contains(string(h), "*") }

@@ -15,7 +15,10 @@ import (
 // segments), a small unique ID, and a back-pointer to its owning Space,
 // which is how derived operations stay inside the right table set without
 // threading a Space argument through every call; the language-question
-// memo tables in memo.go are keyed by (ID, ID) pairs.
+// memo tables in memo.go are keyed by (ID, ID) pairs. Each node also
+// stores its paper spelling, so rendering a path never formats, and the
+// shape of its words (minimum length, boundedness, first and last
+// direction), which lets Subsumes reject most pairs before the memo.
 //
 // The table is sharded and mutex-guarded so the concurrent analysis
 // fixpoint and the parallel property tests can intern from many goroutines
@@ -32,6 +35,17 @@ type pnode struct {
 	// sp is the owning Space: derived operations (Extend, Concat, Residue,
 	// the verdict questions) intern and memoize there.
 	sp *Space
+	// spell is the paper spelling followed by "?" ("L1L+?"), rendered once
+	// here so Path.String and Path.ExprString are slices of it.
+	spell string
+	// The shape of every word the expression denotes, which settles most
+	// Subsumes queries without the memo (nfa.go). Every canonical segment
+	// has Min >= 1, so each word starts with an edge in first's direction
+	// and ends with one in last's; its length is exactly minLen when
+	// bounded, and at least minLen otherwise.
+	minLen      int
+	bounded     bool
+	first, last Dir
 }
 
 // nodeIDs allocates node IDs process-wide, shared by every Space; ID 0 is
@@ -107,10 +121,18 @@ func (sp *Space) intern(segs []Seg) *pnode {
 		panic("path: interned node IDs exhausted; restart the process")
 	}
 	n := &pnode{
-		id:   id,
-		sig:  sig,
-		segs: append([]Seg(nil), segs...),
-		sp:   sp,
+		id:      id,
+		sig:     sig,
+		segs:    append([]Seg(nil), segs...),
+		sp:      sp,
+		spell:   string(append(appendSegs(nil, segs), '?')),
+		bounded: true,
+		first:   segs[0].Dir,
+		last:    segs[len(segs)-1].Dir,
+	}
+	for _, s := range segs {
+		n.minLen += s.Min
+		n.bounded = n.bounded && !s.Inf
 	}
 	sh.m[sig] = append(sh.m[sig], n)
 	sp.interned.Add(1)

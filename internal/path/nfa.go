@@ -179,29 +179,11 @@ func mayStrictPrefixSlow(ps, qs []Seg) bool {
 	return false
 }
 
-// MayRouteThrough reports whether a path pxy (x→y) may pass through the
-// f-edge out of a node reached from x by pa (x→a). It decides
-// L(pa · f · Σ*) ∩ L(pxy) ≠ ∅ and is the kill-test used by the transfer
-// function for the update a.f := b: any x→y path that may route through
-// a's old f edge can no longer be considered definite. The pa·f prefix
-// interns into the operands' Space (pa may be S, so pxy's Space breaks the
-// tie; the process default only when both are S).
-func MayRouteThrough(pxy, pa Path, f Dir) bool {
-	return spaceOf(procSpace, pa, pxy).MayRouteThrough(pxy, pa, f)
-}
-
-// MayRouteThrough is the explicit-Space form: the pa·f prefix interns into
-// sp (required when both operands may be S).
-func (sp *Space) MayRouteThrough(pxy, pa Path, f Dir) bool {
-	prefix := sp.Extend(pa, f)
-	if MayOverlap(prefix, pxy) {
-		return true
-	}
-	return MayStrictPrefix(prefix, pxy)
-}
-
 // MayDescend reports whether q can reach nodes strictly below where p ends,
-// or the same node (p may be a non-strict prefix of q).
+// or the same node (p may be a non-strict prefix of q). With p = pa·f it is
+// the kill-test of the update a.f := b: an x→y path q that may route
+// through the f edge out of the node x reaches by pa, L(pa·f·Σ*) ∩ L(q) ≠ ∅,
+// can no longer be considered definite.
 func MayDescend(p, q Path) bool {
 	return MayOverlap(p, q) || MayStrictPrefix(p, q)
 }
@@ -213,7 +195,9 @@ func MayDescend(p, q Path) bool {
 //
 // Decision: walk the product of q's NFA with the on-the-fly determinized
 // p-NFA; a counterexample is a reachable state where q accepts but no
-// p-state does. Verdicts are memoized on the interned (ID, ID) pair.
+// p-state does. Verdicts are memoized on the interned (ID, ID) pair, but
+// most pairs never reach the memo: a difference in the shape of their
+// words already rules out inclusion (see shapeExcludes).
 func Subsumes(p, q Path) bool {
 	if p.node == q.node {
 		return true
@@ -221,6 +205,9 @@ func Subsumes(p, q Path) bool {
 	if q.node == nil || p.node == nil {
 		// S ⊆ p only when p can denote the empty word (only S itself, ruled
 		// out above); q ⊆ S likewise requires q = S.
+		return false
+	}
+	if shapeExcludes(p.node, q.node) {
 		return false
 	}
 	key := pairKey(p.node.id, q.node.id)
@@ -231,6 +218,18 @@ func Subsumes(p, q Path) bool {
 	v := subsumesSlow(p.node.segs, q.node.segs)
 	memo.store(key, v)
 	return v
+}
+
+// shapeExcludes reports that L(q) ⊆ L(p) is impossible from the interned
+// word shapes alone: q has a word shorter than every word of p, p's words
+// all have one length that some word of q lacks, or q has a word whose
+// first or last edge p's words never take (every word starts and ends in
+// its expression's first and last segment directions, since Min >= 1).
+func shapeExcludes(p, q *pnode) bool {
+	return p.minLen > q.minLen ||
+		p.bounded && (!q.bounded || p.minLen != q.minLen) ||
+		!subsumesDir(p.first, q.first) ||
+		!subsumesDir(p.last, q.last)
 }
 
 func subsumesSlow(ps, qs []Seg) bool {

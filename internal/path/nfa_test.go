@@ -76,25 +76,26 @@ func TestMayStrictPrefixBasics(t *testing.T) {
 }
 
 func TestMayRouteThrough(t *testing.T) {
-	// A path x→y = L1R1D+ may route through the R edge out of the node at
-	// x·L1, but not through the L edge out of that node.
+	// The kill-test of a.f := b is MayDescend(pa·f, pxy). A path x→y =
+	// L1R1D+ may route through the R edge out of the node at x·L1, but not
+	// through the L edge out of that node.
 	pxy := MustParse("L1R1D+")
 	pa := MustParse("L1")
-	if !MayRouteThrough(pxy, pa, RightD) {
+	if !MayDescend(pa.Extend(RightD), pxy) {
 		t.Error("L1R1D+ should route through R edge after L1")
 	}
-	if MayRouteThrough(pxy, pa, LeftD) {
+	if MayDescend(pa.Extend(LeftD), pxy) {
 		t.Error("L1R1D+ cannot route through L edge after L1")
 	}
 	// Routing through the very last edge (overlap case).
-	if !MayRouteThrough(MustParse("L1R1"), MustParse("L1"), RightD) {
+	if !MayDescend(MustParse("L1").Extend(RightD), MustParse("L1R1")) {
 		t.Error("the final edge counts as routed-through")
 	}
 	// S as pa: route through the first edge.
-	if !MayRouteThrough(MustParse("L1D+"), Same(), LeftD) {
+	if !MayDescend(Same().Extend(LeftD), MustParse("L1D+")) {
 		t.Error("route through first edge from the node itself")
 	}
-	if MayRouteThrough(MustParse("R1"), Same(), LeftD) {
+	if MayDescend(Same().Extend(LeftD), MustParse("R1")) {
 		t.Error("R1 does not start with an L edge")
 	}
 }

@@ -22,7 +22,7 @@ package path
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 )
 
 // Dir is the direction of a link: left, right, or down (either).
@@ -73,6 +73,21 @@ func (s Seg) String() string {
 	default:
 		return fmt.Sprintf("%s%d", s.Dir, s.Min)
 	}
+}
+
+// appendSegs appends the paper spelling of the segments (Seg.String of each,
+// concatenated) to b without formatting through fmt.
+func appendSegs(b []byte, segs []Seg) []byte {
+	for _, s := range segs {
+		b = append(b, s.Dir.String()...)
+		if !s.Inf || s.Min > 1 {
+			b = strconv.AppendInt(b, int64(s.Min), 10)
+		}
+		if s.Inf {
+			b = append(b, '+')
+		}
+	}
+	return b
 }
 
 // Path is an immutable path expression together with its definiteness flag.
@@ -189,45 +204,45 @@ func (p Path) NumSegs() int { return len(p.segs()) }
 
 // MinLen returns the minimum number of edges the path can denote.
 func (p Path) MinLen() int {
-	n := 0
-	for _, s := range p.segs() {
-		n += s.Min
+	if p.node == nil {
+		return 0
 	}
-	return n
+	return p.node.minLen
 }
 
 // Bounded reports whether the path denotes finitely many edge counts,
 // returning the exact maximum length when it does.
 func (p Path) Bounded() (maxLen int, ok bool) {
-	n := 0
-	for _, s := range p.segs() {
-		if s.Inf {
-			return 0, false
-		}
-		n += s.Min
+	if p.node == nil {
+		return 0, true
 	}
-	return n, true
+	if !p.node.bounded {
+		return 0, false
+	}
+	return p.node.minLen, true
 }
 
 // ExprString renders the path expression without the definiteness marker.
 func (p Path) ExprString() string {
-	if p.IsSame() {
+	if p.node == nil {
 		return "S"
 	}
-	var b strings.Builder
-	for _, s := range p.segs() {
-		b.WriteString(s.String())
-	}
-	return b.String()
+	return p.node.spell[:len(p.node.spell)-1]
 }
 
 // String renders the path in paper notation, with a trailing "?" when the
 // path is possible: "S", "S?", "L1L+", "R1D+?".
 func (p Path) String() string {
-	if p.possible {
-		return p.ExprString() + "?"
+	switch {
+	case p.node == nil && p.possible:
+		return "S?"
+	case p.node == nil:
+		return "S"
+	case p.possible:
+		return p.node.spell
+	default:
+		return p.ExprString()
 	}
-	return p.ExprString()
 }
 
 // EqualExpr reports whether p and q denote the same path expression,

@@ -47,6 +47,12 @@ func TestPathStringAndSame(t *testing.T) {
 	if got := q.String(); got != "R1D+?" {
 		t.Errorf("got %q, want R1D+?", got)
 	}
+	// Both spellings are slices of the one rendered at intern time.
+	for _, r := range []Path{p, q, q.AsDefinite()} {
+		if n := testing.AllocsPerRun(100, func() { _ = r.String() }); n != 0 {
+			t.Errorf("%s.String() made %v allocations, want 0", r, n)
+		}
+	}
 }
 
 func TestCanonDropsEmptySegments(t *testing.T) {

@@ -490,15 +490,21 @@ func MayOverlapSet(s, t Set) bool {
 
 // String renders the set in paper notation: members separated by ", ",
 // or "{}" for the empty set.
-func (s Set) String() string {
+func (s Set) String() string { return string(s.AppendText(nil)) }
+
+// AppendText appends the String rendering of the set to b and returns the
+// extended buffer; callers building a larger key reuse one buffer.
+func (s Set) AppendText(b []byte) []byte {
 	if s.IsEmpty() {
-		return "{}"
+		return append(b, "{}"...)
 	}
-	parts := make([]string, len(s.ps))
 	for i, p := range s.ps {
-		parts[i] = p.String()
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = append(b, p.String()...)
 	}
-	return strings.Join(parts, ", ")
+	return b
 }
 
 // ParseSet parses the String form back into a set interned in the

@@ -1,7 +1,10 @@
 package path
 
 import (
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -144,4 +147,105 @@ func TestWidenConvergesUnderIteration(t *testing.T) {
 		acc = next
 	}
 	t.Fatalf("no convergence within 50 iterations: %s", acc)
+}
+
+// canonicalNodes interns, into a fresh Space, every canonical path of at
+// most maxSegs segments over L/R/D with Min in 1..maxMin and both Inf
+// values, returning one definite Path per distinct node.
+func canonicalNodes(maxSegs, maxMin int) []Path {
+	sp := NewSpace()
+	var all []Seg
+	for _, d := range []Dir{LeftD, RightD, DownD} {
+		for m := 1; m <= maxMin; m++ {
+			all = append(all, Exact(d, m), AtLeast(d, m))
+		}
+	}
+	seen := map[*pnode]bool{}
+	var out []Path
+	var grow func(prefix []Seg)
+	grow = func(prefix []Seg) {
+		if len(prefix) > 0 {
+			if p := sp.New(prefix...); !seen[p.node] {
+				seen[p.node] = true
+				out = append(out, p)
+			}
+		}
+		if len(prefix) == maxSegs {
+			return
+		}
+		for _, s := range all {
+			grow(append(prefix[:len(prefix):len(prefix)], s))
+		}
+	}
+	grow(nil)
+	return out
+}
+
+// TestShapeCheckSound pins Subsumes' shape check against the NFA decision:
+// over every ordered pair of small canonical paths, a pair the check
+// rejects is never in fact a subsumption. The sweep also checks that the
+// spelling each node stores at intern time is the segment-by-segment
+// Seg.String rendering. The pairs are split across GOMAXPROCS goroutines,
+// since subsumesSlow dominates the run.
+func TestShapeCheckSound(t *testing.T) {
+	nodes := canonicalNodes(3, 2)
+	for _, p := range nodes {
+		var want strings.Builder
+		for _, s := range p.Segs() {
+			want.WriteString(s.String())
+		}
+		if got := p.String(); got != want.String() {
+			t.Errorf("stored spelling %q, want %q", got, want.String())
+		}
+		if got := p.AsPossible().String(); got != want.String()+"?" {
+			t.Errorf("stored possible spelling %q, want %q?", got, want.String())
+		}
+	}
+	workers := runtime.GOMAXPROCS(0)
+	var rejected atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(nodes); i += workers {
+				p := nodes[i]
+				for _, q := range nodes {
+					if !shapeExcludes(p.node, q.node) {
+						continue
+					}
+					rejected.Add(1)
+					if subsumesSlow(p.node.segs, q.node.segs) {
+						t.Errorf("shape check rejects Subsumes(%s, %s), but it holds", p, q)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if rejected.Load() == 0 {
+		t.Fatal("shape check rejected no pair")
+	}
+	t.Logf("%d nodes, %d of %d ordered pairs rejected by shape", len(nodes), rejected.Load(), len(nodes)*len(nodes))
+}
+
+// TestShapeCheckClauses shows each clause of the shape check settling a
+// pair that no other clause rejects.
+func TestShapeCheckClauses(t *testing.T) {
+	cases := []struct{ p, q, clause string }{
+		{"L2+", "L1", "q has a shorter word"},
+		{"L1", "L+", "p bounded, q unbounded"},
+		{"L1", "L2", "p bounded, lengths differ"},
+		{"L1D1", "R1D1", "first direction"},
+		{"D1L1", "D1R1", "last direction"},
+	}
+	for _, c := range cases {
+		p, q := MustParse(c.p), MustParse(c.q)
+		if !shapeExcludes(p.node, q.node) {
+			t.Errorf("%s: shape check does not reject Subsumes(%s, %s)", c.clause, c.p, c.q)
+		}
+		if Subsumes(p, q) {
+			t.Errorf("Subsumes(%s, %s) = true", c.p, c.q)
+		}
+	}
 }

@@ -71,10 +71,12 @@ type Options struct {
 	Sessions int
 	// ResetInternedPaths is the per-session epoch policy: after a request
 	// completes, if the session's private Space holds more interned path
-	// expressions than this, that Space is reset while the session is still
-	// exclusively checked out (dropping its intern/memo/residue tables and,
-	// via the reset hook, its matrix handle table). Other sessions are
-	// never involved. 0 picks 1<<20; negative disables epoch resets.
+	// expressions and handle names together than this, that Space is reset
+	// while the session is still exclusively checked out (dropping its
+	// intern/memo/residue tables and, via the reset hook, its matrix handle
+	// table). Handle names count because every new identifier interns one
+	// and only this reset drops it. Other sessions are never involved. 0
+	// picks 1<<20; negative disables epoch resets.
 	ResetInternedPaths int
 	// SummaryCapacity bounds the per-procedure summary store (records) —
 	// the incremental-analysis warm path consulted on result-cache
@@ -743,16 +745,16 @@ func (s *Service) FlushCache() {
 }
 
 // maybeReset starts a new epoch on the session's private Space when its
-// intern table has outgrown the budget. The caller still holds the session
-// exclusively, so no other goroutine can be touching this Space — the
-// reset needs no gate and never waits for (or blocks) sibling sessions.
-// Cached results survive: they hold rendered bytes, not epoch-bound
-// objects.
+// path and handle intern tables together have outgrown the budget. The
+// caller still holds the session exclusively, so no other goroutine can be
+// touching this Space — the reset needs no gate and never waits for (or
+// blocks) sibling sessions. Cached results survive: they hold rendered
+// bytes, not epoch-bound objects.
 func (s *Service) maybeReset(sess *Session) {
 	if s.opts.ResetInternedPaths < 0 {
 		return
 	}
-	if sess.space.Paths().InternedCount() <= s.opts.ResetInternedPaths {
+	if sess.space.Paths().InternedCount()+sess.space.InternedHandles() <= s.opts.ResetInternedPaths {
 		return
 	}
 	sess.space.Paths().Reset()
@@ -797,11 +799,12 @@ type Stats struct {
 	// session order; Epoch is their sum.
 	SessionEpochs []uint64 `json:"session_epochs"`
 
-	Epoch         uint64  `json:"epoch"`
-	EpochResets   uint64  `json:"epoch_resets"`
-	InternedPaths int     `json:"interned_paths"`
-	MemoVerdicts  int     `json:"memo_verdicts"`
-	MemoHitRate   float64 `json:"memo_hit_rate"`
+	Epoch           uint64  `json:"epoch"`
+	EpochResets     uint64  `json:"epoch_resets"`
+	InternedPaths   int     `json:"interned_paths"`
+	InternedHandles int     `json:"interned_handles"`
+	MemoVerdicts    int     `json:"memo_verdicts"`
+	MemoHitRate     float64 `json:"memo_hit_rate"`
 
 	// SummaryStore is the per-procedure summary store's counters (all
 	// zero when the store is disabled).
@@ -809,8 +812,9 @@ type Stats struct {
 }
 
 // Stats snapshots the service counters and the per-session Space tables.
-// Epoch, InternedPaths, and MemoVerdicts aggregate (sum) across the
-// sessions' private Spaces; per-session epochs are in SessionEpochs.
+// Epoch, InternedPaths, InternedHandles, and MemoVerdicts aggregate (sum)
+// across the sessions' private Spaces; per-session epochs are in
+// SessionEpochs.
 func (s *Service) Stats() Stats {
 	s.mu.Lock()
 	size := s.lru.Len()
@@ -844,6 +848,7 @@ func (s *Service) Stats() Stats {
 		st.SessionEpochs = append(st.SessionEpochs, sp.Epoch)
 		st.Epoch += sp.Epoch
 		st.InternedPaths += sp.InternedPaths
+		st.InternedHandles += sess.space.InternedHandles()
 		st.MemoVerdicts += sp.Verdicts()
 		memoHits += sp.MemoHits
 		memoMisses += sp.MemoMisses

@@ -6,6 +6,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"regexp"
 	"sort"
 	"sync"
 	"testing"
@@ -89,6 +90,47 @@ func TestResponsesStableAcrossEpochReset(t *testing.T) {
 		if !bytes.Equal(reference[req.Name], resp.Body) {
 			t.Errorf("%s: response changed across a Space epoch reset", req.Name)
 		}
+	}
+}
+
+// TestResetOnHandleGrowth: renaming a program's variables interns new
+// handle names but no new path expressions, so a stream of renamed
+// programs grows only the handle table. The epoch budget counts handles
+// too, so it still resets the session Space, and the bodies stay
+// byte-identical to a service that never resets.
+func TestResetOnHandleGrowth(t *testing.T) {
+	ident := regexp.MustCompile(`\b[abcd]\b`)
+	renamed := func(k int) Request {
+		src := ident.ReplaceAllString(progs.RandomProgram(4), fmt.Sprintf("${0}_%d", k))
+		return Request{Name: fmt.Sprintf("renamed-%d", k), Source: src}
+	}
+	ref := New(Options{Sessions: 1, ResetInternedPaths: -1, SummaryCapacity: -1})
+	if resp := ref.Analyze(context.Background(), renamed(0)); resp.Err != nil {
+		t.Fatal(resp.Err)
+	}
+	first := ref.Stats()
+	if first.InternedHandles == 0 {
+		t.Fatal("stats report no interned handles")
+	}
+	// Paths alone (first.InternedPaths) stay within this budget forever.
+	budget := first.InternedPaths + first.InternedHandles
+	svc := New(Options{Sessions: 1, ResetInternedPaths: budget, SummaryCapacity: -1})
+	for k := 0; k < 8; k++ {
+		req := renamed(k)
+		want := ref.Analyze(context.Background(), req)
+		got := svc.Analyze(context.Background(), req)
+		if want.Err != nil || got.Err != nil {
+			t.Fatalf("%s: %v / %v", req.Name, want.Err, got.Err)
+		}
+		if !bytes.Equal(got.Body, want.Body) {
+			t.Errorf("%s: body differs from the never-reset service", req.Name)
+		}
+	}
+	if st := ref.Stats(); st.InternedPaths != first.InternedPaths {
+		t.Errorf("renaming interned new paths: %d -> %d", first.InternedPaths, st.InternedPaths)
+	}
+	if st := svc.Stats(); st.EpochResets == 0 {
+		t.Errorf("handle growth past the budget never reset the Space: %s", st)
 	}
 }
 

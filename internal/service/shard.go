@@ -186,6 +186,7 @@ func (r *Router) Stats() RouterStats {
 		t.Epoch += st.Epoch
 		t.EpochResets += st.EpochResets
 		t.InternedPaths += st.InternedPaths
+		t.InternedHandles += st.InternedHandles
 		t.MemoVerdicts += st.MemoVerdicts
 		t.SummaryStore = t.SummaryStore.add(st.SummaryStore)
 		memoWeighted += st.MemoHitRate * float64(st.MemoVerdicts)
