@@ -1,7 +1,8 @@
 package service
 
 import (
-	"fmt"
+	"encoding/binary"
+	"encoding/hex"
 
 	"repro/internal/analysis"
 	"repro/internal/path"
@@ -20,8 +21,16 @@ import (
 // Fp is a comparable 128-bit fingerprint.
 type Fp struct{ Hi, Lo uint64 }
 
-// String renders the fingerprint as 32 hex digits.
-func (f Fp) String() string { return fmt.Sprintf("%016x%016x", f.Hi, f.Lo) }
+// String renders the fingerprint as 32 lowercase hex digits (Hi first),
+// the same bytes as fmt's %016x%016x.
+func (f Fp) String() string {
+	var raw [16]byte
+	binary.BigEndian.PutUint64(raw[:8], f.Hi)
+	binary.BigEndian.PutUint64(raw[8:], f.Lo)
+	var out [32]byte
+	hex.Encode(out[:], raw[:])
+	return string(out[:])
+}
 
 const (
 	fpSeedHi uint64 = 0x243f6a8885a308d3 // pi
@@ -35,19 +44,19 @@ func (f *Fp) mix(x uint64) {
 }
 
 // mixString folds a length-prefixed string into the fingerprint (the
-// prefix keeps concatenations unambiguous).
+// prefix keeps concatenations unambiguous): each full 8-byte chunk as one
+// big-endian word, then the 1–7 byte tail as one word holding those bytes
+// big-endian in its low end.
 func (f *Fp) mixString(s string) {
 	f.mix(uint64(len(s)))
-	var word uint64
-	n := 0
-	for i := 0; i < len(s); i++ {
-		word = word<<8 | uint64(s[i])
-		if n++; n == 8 {
-			f.mix(word)
-			word, n = 0, 0
-		}
+	for ; len(s) >= 8; s = s[8:] {
+		f.mix(binary.BigEndian.Uint64([]byte(s[:8])))
 	}
-	if n > 0 {
+	if len(s) > 0 {
+		var word uint64
+		for i := 0; i < len(s); i++ {
+			word = word<<8 | uint64(s[i])
+		}
 		f.mix(word)
 	}
 }
@@ -55,18 +64,15 @@ func (f *Fp) mixString(s string) {
 // mixInt folds a signed integer.
 func (f *Fp) mixInt(v int) { f.mix(uint64(int64(v))) }
 
-// ProgramFingerprint keys one analysis result: the canonical program text
-// plus every option that can change the result. The analysis worker count
-// is deliberately excluded — the round-based engine is bit-identical
-// across pool sizes, so results are worker-independent by construction.
-// MaxWorklist is excluded for the same reason as Workers and Budgets: a
-// pure work cap can only fail a run, never change a successful result's
-// bytes, so folding it would split the cache on a non-semantic knob
-// (fppurity enforces this class statically).
-func ProgramFingerprint(canonicalSource string, opts analysis.Options) Fp {
-	f := Fp{Hi: fpSeedHi, Lo: fpSeedLo}
-	f.mixString("sil-result/v1")
-	f.mixString(canonicalSource)
+// mixOptions folds every analysis option that can change a result — the
+// one list ProgramFingerprint, sourceKey and SummaryKey share. The analysis
+// worker count is deliberately excluded — the round-based engine is
+// bit-identical across pool sizes, so results are worker-independent by
+// construction. MaxWorklist is excluded for the same reason as Workers and
+// Budgets: a pure work cap can only fail a run, never change a successful
+// result's bytes, so folding it would split the cache on a non-semantic
+// knob (fppurity enforces this class statically).
+func (f *Fp) mixOptions(opts analysis.Options) {
 	f.mixInt(len(opts.ExternalRoots))
 	for _, r := range opts.ExternalRoots {
 		f.mixString(r)
@@ -76,5 +82,28 @@ func ProgramFingerprint(canonicalSource string, opts analysis.Options) Fp {
 	f.mixInt(opts.Limits.MaxExact)
 	f.mixInt(opts.Limits.MaxSegs)
 	f.mixInt(opts.Limits.MaxPaths)
+}
+
+// ProgramFingerprint keys one analysis result: the canonical program text
+// plus every option that can change the result (mixOptions).
+func ProgramFingerprint(canonicalSource string, opts analysis.Options) Fp {
+	f := Fp{Hi: fpSeedHi, Lo: fpSeedLo}
+	f.mixString("sil-result/v1")
+	f.mixString(canonicalSource)
+	f.mixOptions(opts)
+	return f
+}
+
+// sourceKey keys the source index in front of the result cache: the RAW
+// request source, byte for byte, plus the resolved options, under its own
+// domain tag. The raw bytes determine the canonical print and hence the
+// program fingerprint, so a key that matched once names the same cached
+// result forever. It is a hash rather than the string itself so the index
+// holds 16 bytes per entry whatever the request size.
+func sourceKey(source string, opts analysis.Options) Fp {
+	f := Fp{Hi: fpSeedHi, Lo: fpSeedLo}
+	f.mixString("sil-source/v1")
+	f.mixString(source)
+	f.mixOptions(opts)
 	return f
 }

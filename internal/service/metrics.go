@@ -167,6 +167,8 @@ var scalarFamilies = []family{
 		func(m metricsSnapshot) float64 { return float64(m.stats.Errors) }},
 	{"sil_cache_hits_total", "counter", "Result-cache hits (byte-identical replay of a rendered result).",
 		func(m metricsSnapshot) float64 { return float64(m.stats.CacheHits) }},
+	{"sil_cache_source_hits_total", "counter", "Result-cache hits served by the source index (exact resubmissions; no parse or fingerprint). Included in sil_cache_hits_total.",
+		func(m metricsSnapshot) float64 { return float64(m.stats.CacheSourceHits) }},
 	{"sil_cache_misses_total", "counter", "Result-cache misses (coalesced-flight leaders included).",
 		func(m metricsSnapshot) float64 { return float64(m.stats.CacheMisses) }},
 	{"sil_cache_evictions_total", "counter", "Result-cache LRU evictions.",

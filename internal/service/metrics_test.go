@@ -39,20 +39,26 @@ func parseExposition(t *testing.T, text string) map[string]float64 {
 	return out
 }
 
-// TestMetricsFamiliesMoveWithTraffic drives one miss, one hit, and one
-// parse failure through a Service and checks the exposition: counters
-// moved, every error code has a series (zeros included), and the phase
-// histograms obey the le-form invariants.
+// TestMetricsFamiliesMoveWithTraffic drives one miss, one fingerprint hit
+// (a reformatted resubmission), one parse failure, and one source-index
+// hit (an exact resubmission) through a Service and checks the
+// exposition: counters moved, every error code has a series (zeros
+// included), and the phase histograms obey the le-form invariants.
 func TestMetricsFamiliesMoveWithTraffic(t *testing.T) {
 	svc := New(Options{Sessions: 2})
 	if resp := svc.Analyze(context.Background(), treeAddReq()); resp.Err != nil {
 		t.Fatal(resp.Err)
 	}
-	if resp := svc.Analyze(context.Background(), treeAddReq()); resp.Err != nil || !resp.Cached {
+	if resp := svc.Analyze(context.Background(), reformattedTreeAddReq()); resp.Err != nil || !resp.Cached {
 		t.Fatalf("second request: err=%+v cached=%v, want hit", resp.Err, resp.Cached)
 	}
 	if resp := svc.Analyze(context.Background(), Request{Name: "bad", Source: "program broken\nprocedure main()\nbegin\n  x :=\nend;"}); resp.Err == nil {
 		t.Fatal("broken program must fail")
+	}
+	// Exact resubmission: served by the source index, so neither the parse
+	// nor the fingerprint histogram moves.
+	if resp := svc.Analyze(context.Background(), reformattedTreeAddReq()); resp.Err != nil || !resp.Cached {
+		t.Fatalf("exact resubmission: err=%+v cached=%v, want hit", resp.Err, resp.Cached)
 	}
 
 	var buf bytes.Buffer
@@ -60,15 +66,16 @@ func TestMetricsFamiliesMoveWithTraffic(t *testing.T) {
 	series := parseExposition(t, buf.String())
 
 	want := map[string]float64{
-		`sil_requests_total{shard="0"}`:         3,
-		`sil_analyses_total{shard="0"}`:         1,
-		`sil_request_failures_total{shard="0"}`: 1,
-		`sil_cache_hits_total{shard="0"}`:       1,
-		`sil_cache_misses_total{shard="0"}`:     1,
-		`sil_cache_entries{shard="0"}`:          1,
-		`sil_sessions{shard="0"}`:               2,
-		`sil_sessions_busy{shard="0"}`:          0,
-		`sil_queue_depth{shard="0"}`:            0,
+		`sil_requests_total{shard="0"}`:          4,
+		`sil_analyses_total{shard="0"}`:          1,
+		`sil_request_failures_total{shard="0"}`:  1,
+		`sil_cache_hits_total{shard="0"}`:        2,
+		`sil_cache_source_hits_total{shard="0"}`: 1,
+		`sil_cache_misses_total{shard="0"}`:      1,
+		`sil_cache_entries{shard="0"}`:           1,
+		`sil_sessions{shard="0"}`:                2,
+		`sil_sessions_busy{shard="0"}`:           0,
+		`sil_queue_depth{shard="0"}`:             0,
 	}
 	for name, v := range want {
 		if got, ok := series[name]; !ok || got != v {
@@ -95,7 +102,8 @@ func TestMetricsFamiliesMoveWithTraffic(t *testing.T) {
 
 	// Histogram invariants per phase: cumulative buckets nondecreasing,
 	// +Inf bucket == _count, and the observation counts match the traffic
-	// (3 prepares parsed, 2 fingerprinted, 1 analyzed and rendered).
+	// (3 prepares parsed, 2 fingerprinted, 1 analyzed and rendered; the
+	// source-index hit did none of these).
 	wantCounts := map[string]float64{"parse": 3, "fingerprint": 2, "fixpoint": 1, "render": 1}
 	for _, phase := range phaseNames {
 		prev := -1.0

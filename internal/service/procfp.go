@@ -91,15 +91,7 @@ func SummaryKey(cohort Fp, opts analysis.Options) Fp {
 	f.mixString("sil-summary/v1")
 	f.mix(cohort.Hi)
 	f.mix(cohort.Lo)
-	f.mixInt(len(opts.ExternalRoots))
-	for _, r := range opts.ExternalRoots {
-		f.mixString(r)
-	}
-	f.mixInt(opts.MaxContexts)
-	f.mixInt(opts.MaxLoopIters)
-	f.mixInt(opts.Limits.MaxExact)
-	f.mixInt(opts.Limits.MaxSegs)
-	f.mixInt(opts.Limits.MaxPaths)
+	f.mixOptions(opts)
 	return f
 }
 

@@ -15,6 +15,16 @@
 //     are epoch-independent: a Space reset never invalidates the cache,
 //     and a cache hit is byte-identical to the fresh response by
 //     construction;
+//   - a SOURCE INDEX in front of that cache: a 128-bit key over the raw
+//     request source bytes plus the resolved options (sourceKey) maps
+//     straight to an LRU entry, so a byte-identical resubmission is served
+//     without compiling, printing, or fingerprinting. Each entry carries at
+//     most one such alias — registered when a request hits or fills the
+//     entry, replaced by the next spelling, dropped with the entry — so
+//     the index never outgrows the cache. It keys by hash, not by the
+//     string, because request bodies may be 16 MiB: 256 raw-text keys
+//     could pin 4 GiB, while the hash carries the same trust as the
+//     canonical fingerprint the cache already keys on;
 //   - BATCHED requests: a multi-program request analyzes its independent
 //     programs in parallel under one worker budget (the session pool);
 //     per-program results come back in request order;
@@ -39,6 +49,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -270,6 +281,10 @@ type Service struct {
 	mu    sync.Mutex
 	lru   *list.List // front = most recent; values are *cacheEntry
 	cache map[Fp]*list.Element
+	// bySrc is the source index: sourceKey → the cache entry whose alias
+	// it is. Every key here is some live entry's src, so len(bySrc) ≤
+	// len(cache) by construction.
+	bySrc map[Fp]*list.Element
 	// inflight coalesces concurrent cold misses per fingerprint: the first
 	// requester analyzes, the rest wait for its rendered bytes instead of
 	// burning sessions on byte-identical work (the Zipf-skewed mixes the
@@ -294,6 +309,7 @@ type Service struct {
 	served    atomic.Uint64
 	analyses  atomic.Uint64
 	hits      atomic.Uint64
+	srcHits   atomic.Uint64 // the hits the source index served
 	misses    atomic.Uint64
 	coalesced atomic.Uint64
 	evictions atomic.Uint64
@@ -340,8 +356,12 @@ type Session struct {
 
 type cacheEntry struct {
 	key  Fp
-	name string
+	hex  string // key.String(), rendered once
+	prog string // the program's declared name (Response.Name of an unlabeled source hit)
 	body []byte
+	// src is this entry's one source-index alias, valid when aliased.
+	src     Fp
+	aliased bool
 }
 
 // New builds a Service.
@@ -352,6 +372,7 @@ func New(opts Options) *Service {
 		sessions: make(chan *Session, opts.Sessions),
 		lru:      list.New(),
 		cache:    map[Fp]*list.Element{},
+		bySrc:    map[Fp]*list.Element{},
 		inflight: map[Fp]*flight{},
 	}
 	queue := opts.MaxQueue
@@ -382,6 +403,10 @@ type prepared struct {
 	opts analysis.Options
 	fp   Fp
 	err  *RequestError // compile failure; fp is zero and prog is nil
+	// src is the request's source-index key, valid when indexed; a cache
+	// hit or fill on fp registers it as the entry's alias.
+	src     Fp
+	indexed bool
 }
 
 // prepare compiles and fingerprints a request. It touches no counters and
@@ -391,6 +416,12 @@ func (s *Service) prepare(req Request) prepared {
 	if verr := req.validate(); verr != nil {
 		return prepared{name: req.Name, err: verr}
 	}
+	return s.compile(req, s.requestOptions(req))
+}
+
+// compile is prepare after validation, with the request's resolved
+// options.
+func (s *Service) compile(req Request, opts analysis.Options) prepared {
 	t := metricsNow()
 	prog, err := progs.Compile(req.Source)
 	s.phases[phaseParse].observe(metricsNow().Sub(t))
@@ -406,7 +437,6 @@ func (s *Service) prepare(req Request) prepared {
 	if name == "" {
 		name = prog.Name
 	}
-	opts := s.requestOptions(req)
 	t = metricsNow()
 	canon := printer.Print(prog)
 	fp := ProgramFingerprint(canon, opts)
@@ -414,13 +444,49 @@ func (s *Service) prepare(req Request) prepared {
 	return prepared{name: name, prog: prog, opts: opts, fp: fp}
 }
 
-// Analyze serves one program: cache lookup by canonical fingerprint, then
-// a pooled fresh analysis on a miss. ctx bounds the caller's wait and the
-// caller's own analysis (deadline/cancel); a nil ctx means Background.
-// Deadlines, budgets, and admission can only FAIL a request — a successful
-// response's bytes are identical whatever they are set to.
+// Analyze serves one program: source-index lookup by raw bytes, then
+// cache lookup by canonical fingerprint, then a pooled fresh analysis on a
+// miss. ctx bounds the caller's wait and the caller's own analysis
+// (deadline/cancel); a nil ctx means Background. Deadlines, budgets, and
+// admission can only FAIL a request — a successful response's bytes are
+// identical whatever they are set to.
 func (s *Service) Analyze(ctx context.Context, req Request) Response {
-	return s.analyzePrepared(ctx, s.prepare(req))
+	if verr := req.validate(); verr != nil {
+		return s.analyzePrepared(ctx, prepared{name: req.Name, err: verr})
+	}
+	opts := s.requestOptions(req)
+	if s.opts.CacheCapacity < 0 {
+		return s.analyzePrepared(ctx, s.compile(req, opts))
+	}
+	src := sourceKey(req.Source, opts)
+	if resp, ok := s.sourceHit(req.Name, src); ok {
+		return resp
+	}
+	p := s.compile(req, opts)
+	p.src, p.indexed = src, true
+	return s.analyzePrepared(ctx, p)
+}
+
+// sourceHit serves a request whose exact source bytes and options already
+// name a cached result, touching the LRU just as a fingerprint hit does.
+func (s *Service) sourceHit(name string, src Fp) (Response, bool) {
+	s.mu.Lock()
+	el, ok := s.bySrc[src]
+	if ok {
+		s.lru.MoveToFront(el)
+	}
+	s.mu.Unlock()
+	if !ok {
+		return Response{}, false
+	}
+	e := el.Value.(*cacheEntry) // key, hex, prog, body are immutable
+	s.served.Add(1)
+	s.hits.Add(1)
+	s.srcHits.Add(1)
+	if name == "" {
+		name = e.prog
+	}
+	return Response{Name: name, Fingerprint: e.hex, Cached: true, Body: e.body}, true
 }
 
 // analyzePrepared serves a prepared request on this Service's own cache
@@ -433,9 +499,9 @@ func (s *Service) analyzePrepared(ctx context.Context, p prepared) Response {
 	if p.err != nil {
 		return s.errResponse(p.name, "", p.err)
 	}
-	if body, ok := s.cacheGet(p.fp); ok {
+	if e := s.cacheGet(p); e != nil {
 		s.hits.Add(1)
-		return Response{Name: p.name, Fingerprint: p.fp.String(), Cached: true, Body: body}
+		return Response{Name: p.name, Fingerprint: e.hex, Cached: true, Body: e.body}
 	}
 	if s.opts.CacheCapacity < 0 {
 		// Caching disabled: no flights either (nothing to share), every
@@ -622,7 +688,7 @@ func (s *Service) runAnalysis(ctx context.Context, p prepared) ([]byte, *Request
 	}
 	s.phases[phaseRender].observe(metricsNow().Sub(t))
 	s.analyses.Add(1)
-	s.cachePut(p.fp, p.name, body)
+	s.cachePut(p, body)
 	return body, nil
 }
 
@@ -701,47 +767,78 @@ func (s *Service) requestOptions(req Request) analysis.Options {
 	return opts
 }
 
-func (s *Service) cacheGet(fp Fp) ([]byte, bool) {
+// cacheGet looks p up by canonical fingerprint; on a hit it also makes
+// p's source key the entry's alias, under the same lock.
+func (s *Service) cacheGet(p prepared) *cacheEntry {
 	if s.opts.CacheCapacity < 0 {
-		return nil, false
+		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.cache[fp]
+	el, ok := s.cache[p.fp]
 	if !ok {
-		return nil, false
+		return nil
 	}
 	s.lru.MoveToFront(el)
-	return el.Value.(*cacheEntry).body, true
+	s.setAlias(el, p)
+	return el.Value.(*cacheEntry)
 }
 
-func (s *Service) cachePut(fp Fp, name string, body []byte) {
+// cachePut fills the entry for p's fingerprint with its aliased source
+// key, evicting (alias and all) past capacity.
+func (s *Service) cachePut(p prepared, body []byte) {
 	if s.opts.CacheCapacity < 0 {
 		return
 	}
+	hex := p.fp.String()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.cache[fp]; ok {
+	el, ok := s.cache[p.fp]
+	if ok {
 		// A concurrent miss on the same program raced us here; both bodies
 		// are byte-identical (deterministic render), keep the incumbent.
 		s.lru.MoveToFront(el)
-		return
+	} else {
+		// The parser's identifiers are slices of the request source; the
+		// cloned name keeps the entry from pinning that whole text.
+		el = s.lru.PushFront(&cacheEntry{key: p.fp, hex: hex, prog: strings.Clone(p.prog.Name), body: body})
+		s.cache[p.fp] = el
 	}
-	s.cache[fp] = s.lru.PushFront(&cacheEntry{key: fp, name: name, body: body})
+	s.setAlias(el, p)
 	for s.lru.Len() > s.opts.CacheCapacity {
 		oldest := s.lru.Back()
 		s.lru.Remove(oldest)
-		delete(s.cache, oldest.Value.(*cacheEntry).key)
+		e := oldest.Value.(*cacheEntry)
+		delete(s.cache, e.key)
+		if e.aliased {
+			delete(s.bySrc, e.src)
+		}
 		s.evictions.Add(1)
 	}
 }
 
-// FlushCache drops every cached result (test and operations hook).
+// setAlias makes p's source key the entry's one alias, replacing any
+// other spelling. Callers hold s.mu.
+func (s *Service) setAlias(el *list.Element, p prepared) {
+	e := el.Value.(*cacheEntry)
+	if !p.indexed || (e.aliased && e.src == p.src) {
+		return
+	}
+	if e.aliased {
+		delete(s.bySrc, e.src)
+	}
+	e.src, e.aliased = p.src, true
+	s.bySrc[p.src] = el
+}
+
+// FlushCache drops every cached result and the source index with it (test
+// and operations hook).
 func (s *Service) FlushCache() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.lru.Init()
 	s.cache = map[Fp]*list.Element{}
+	s.bySrc = map[Fp]*list.Element{}
 }
 
 // maybeReset starts a new epoch on the session's private Space when its
@@ -773,6 +870,9 @@ type Stats struct {
 	CacheSize      int     `json:"cache_size"`
 	CacheCapacity  int     `json:"cache_capacity"`
 	HitRate        float64 `json:"hit_rate"`
+	// CacheSourceHits counts the CacheHits served by the source index —
+	// byte-identical resubmissions answered without parse or fingerprint.
+	CacheSourceHits uint64 `json:"cache_source_hits"`
 	// Coalesced counts misses served from another request's in-flight
 	// analysis of the same program (cold-start thundering herd absorbed).
 	Coalesced uint64 `json:"coalesced"`
@@ -838,6 +938,7 @@ func (s *Service) Stats() Stats {
 		Sessions:       uint64(s.opts.Sessions),
 		EpochResets:    s.resets.Load(),
 	}
+	st.CacheSourceHits = s.srcHits.Load()
 	if s.sumStore != nil {
 		st.SummaryStore = s.sumStore.Stats()
 	}

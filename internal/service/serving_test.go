@@ -160,7 +160,7 @@ func TestMidFixpointCancelLeavesPoolClean(t *testing.T) {
 	if rerr == nil || rerr.Status != 499 || rerr.Code != CodeCanceled {
 		t.Fatalf("mid-fixpoint cancel: got %+v, want 499 %s", rerr, CodeCanceled)
 	}
-	if _, ok := svc.cacheGet(p.fp); ok {
+	if svc.cacheGet(p) != nil {
 		t.Error("canceled run must not leave a cache entry")
 	}
 	if got := len(svc.sessions); got != 2 {
@@ -187,7 +187,7 @@ func TestBudgetExceededIs503(t *testing.T) {
 	if resp.Err == nil || resp.Err.Status != 503 || resp.Err.Code != CodeBudgetExceeded {
 		t.Fatalf("budgeted recursive program: got %+v, want 503 %s", resp.Err, CodeBudgetExceeded)
 	}
-	if _, ok := svc.cacheGet(svc.prepare(treeAddReq()).fp); ok {
+	if svc.cacheGet(svc.prepare(treeAddReq())) != nil {
 		t.Error("budget-failed run must not leave a cache entry")
 	}
 	if st := svc.Stats(); st.ErrorCodes[CodeBudgetExceeded] != 1 || st.Busy != 0 {

@@ -95,7 +95,8 @@ func (r *Router) shardFor(fp Fp) int {
 // it on the fingerprint's owning shard. prepare touches no per-shard
 // counters, so running it on shard 0 unconditionally is sound (phase
 // latencies for parse/fingerprint land on shard 0's histograms — the
-// scraper sums across shards anyway).
+// scraper sums across shards anyway). The shards' source indexes are not
+// consulted: the owning shard is only known after fingerprinting.
 func (r *Router) Analyze(ctx context.Context, req Request) Response {
 	p := r.shards[0].prepare(req)
 	return r.shards[r.shardFor(p.fp)].analyzePrepared(ctx, p)
@@ -160,6 +161,7 @@ func (r *Router) Stats() RouterStats {
 		t.Analyses += st.Analyses
 		t.Errors += st.Errors
 		t.CacheHits += st.CacheHits
+		t.CacheSourceHits += st.CacheSourceHits
 		t.CacheMisses += st.CacheMisses
 		t.CacheEvictions += st.CacheEvictions
 		t.CacheSize += st.CacheSize
